@@ -2,12 +2,16 @@
 
 Machine classes are enumerated exhaustively — every partial transition
 table over the given state and symbol counts, in one canonical order —
-and each machine is run under the loop oracle from the blank tape (the
-usual convention for enumeration experiments; other inputs are a
-parameter away).  Classification reports are plain CSV with a fixed
-schema and no timestamps, so two runs of the same experiment produce
-byte-identical files; wall-clock time lives only in the human-readable
-summary beside the data.
+and each machine is classified under the loop oracle from the blank tape
+(the usual convention for enumeration experiments; other inputs are a
+parameter away).  A run reads only the transitions it consults, so
+machines that agree on those share one oracle run: the sweep builds the
+tree-normal-form prefix tree of Brady (1983) lazily and runs each
+distinct consulted prefix once, while every verdict is still audited by
+replay against its own machine.  Classification reports are plain CSV
+with a fixed schema and no timestamps, so two runs of the same
+experiment produce byte-identical files; wall-clock time lives only in
+the human-readable summary beside the data.
 
 The module also owns the two standing demonstrations: the bounded-tape
 family, where the oracle provably cannot miss, and the right-runner,
@@ -28,14 +32,15 @@ from pathlib import Path
 from typing import Iterator
 
 from .dsl import ParseError, load_program
-from .machine import LEFT, Machine, RIGHT
+from .machine import BLANK, LEFT, Machine, RIGHT, Transition, initial_id
 from .oracle import (
     BudgetExceeded,
     Halted,
     LoopDetected,
     RunOutcome,
+    _flat_table,
     replay_verify,
-    run,
+    run,  # not called here; the benchmark tracer wraps experiments.run
     run_with_oracle,
 )
 from .recfun import arity
@@ -149,6 +154,7 @@ class ClassificationReport:
     input_symbols: tuple[int, ...]
     rows: list[ClassificationRow]
     wall_seconds: float
+    oracle_runs: int = 0
 
     @property
     def counts(self) -> dict[str, int]:
@@ -175,6 +181,51 @@ def _outcome_tag(outcome: RunOutcome) -> str:
     return "budget_exceeded"
 
 
+Slot = tuple[int, int]
+
+
+@dataclass
+class _PrefixNode:
+    """A partial table in the lazily built prefix tree of a class sweep.
+
+    ``decided`` maps each slot fixed on the path from the root to its
+    rule, or None for absent.  Once explored, a node is either a leaf
+    holding the outcome every machine below it shares, or a branch on
+    ``slot`` whose children are keyed by the rule there (None: absent).
+    """
+
+    decided: dict[Slot, Transition | None]
+    outcome: RunOutcome | None = None
+    slot: Slot | None = None
+    children: dict[Transition | None, "_PrefixNode"] = field(default_factory=dict)
+
+
+def _explore(
+    mclass: MachineClass,
+    node: _PrefixNode,
+    input_symbols: tuple[int, ...],
+    budget: int,
+    history_cap: int | None,
+) -> None:
+    """One oracle run on the rules decided so far; makes ``node`` a leaf
+    or, if the run halted on a slot not yet decided, a branch on it.
+
+    The branch's "absent" child has the same table as ``node``, so it is
+    a leaf holding this very outcome, made without running again.
+    """
+    table = {slot: rule for slot, rule in node.decided.items() if rule is not None}
+    partial = Machine(mclass.state_count, mclass.alphabet_size, table)
+    outcome = run_with_oracle(partial, input_symbols, budget, history_cap)
+    if isinstance(outcome, Halted):
+        final = outcome.final_id
+        slot = (final.state, final.symbol_at(final.head))
+        if slot not in node.decided:
+            node.slot = slot
+            node.children[None] = _PrefixNode({**node.decided, slot: None}, outcome)
+            return
+    node.outcome = outcome
+
+
 def classify_all(
     mclass: MachineClass,
     budget: int = DEFAULT_BUDGET,
@@ -183,14 +234,37 @@ def classify_all(
 ) -> ClassificationReport:
     """Run the oracle over the whole class and audit every verdict.
 
-    Halted and LoopDetected rows are re-checked by oracle-free replay;
-    rows that merely ran out of budget carry no audit flag.  Rows appear
-    in enumeration order.
+    A deterministic run, its fingerprint confirmations and its final
+    halt lookup read only the slots it consults, so every machine that
+    agrees on those slots gets the same outcome.  Machines are therefore
+    resolved through a prefix tree over partial tables, built on first
+    use: a node costs one oracle run on its decided rules, and a run
+    that halts on an undecided slot branches there.  The report's rows
+    share the leaves' outcome objects, and ``oracle_runs`` counts the
+    runs made, one per distinct consulted prefix, not one per machine.
+
+    Halted and LoopDetected rows are re-checked by oracle-free replay,
+    each against its own machine; rows that merely ran out of budget
+    carry no audit flag.  Rows appear in enumeration order.
     """
+    input_symbols = tuple(input_symbols)
+    root = _PrefixNode({})
+    runs = 0
     rows = []
     started = time.perf_counter()
     for machine in enumerate_class(mclass):
-        outcome = run_with_oracle(machine, input_symbols, budget, history_cap)
+        node = root
+        while node.outcome is None:
+            if node.slot is None:
+                _explore(mclass, node, input_symbols, budget, history_cap)
+                runs += 1
+                continue
+            rule = machine.transitions.get(node.slot)
+            child = node.children.get(rule)
+            if child is None:
+                child = node.children[rule] = _PrefixNode({**node.decided, node.slot: rule})
+            node = child
+        outcome = node.outcome
         audit = None
         if isinstance(outcome, (Halted, LoopDetected)):
             audit = replay_verify(machine, input_symbols, outcome)
@@ -200,9 +274,10 @@ def classify_all(
         mclass=mclass,
         budget=budget,
         history_cap=history_cap,
-        input_symbols=tuple(input_symbols),
+        input_symbols=input_symbols,
         rows=rows,
         wall_seconds=wall,
+        oracle_runs=runs,
     )
 
 
@@ -239,6 +314,7 @@ def summary_text(report: ClassificationReport) -> str:
         f"budget_exceeded: {counts['budget_exceeded']}",
         f"max halting step: {report.max_halt_steps if report.max_halt_steps is not None else 'n/a'}",
         f"audits: {'all passed' if report.all_audits_passed else 'FAILURES PRESENT'}",
+        f"oracle runs: {report.oracle_runs} for {len(report.rows)} machines",
         f"wall time: {report.wall_seconds:.2f}s",
     ]
     return "\n".join(lines) + "\n"
@@ -267,17 +343,33 @@ def cell_growth_profile(
 
     Instrumentation for the no-repetition argument: a strictly growing
     cell count means no configuration can recur.  Runs without the
-    oracle; a machine that halts early just truncates the profile.
+    oracle, once, sampling at each mark; a machine that halts early just
+    truncates the profile (one that halts exactly on a mark repeats that
+    sample before the profile stops).
     """
     if samples < 2:
         raise ValueError("need at least two sample points")
     marks = sorted({round(i * budget / (samples - 1)) for i in range(samples)})
+    start = initial_id(machine, tuple(input_symbols))
+    table = _flat_table(machine)
+    m = machine.alphabet_size
+    state, head, tape = start.state, start.head, start.tape_dict()
+    t = 0
     profile = []
     for mark in marks:
-        outcome = run(machine, input_symbols, mark)
-        snapshot = outcome.final_id if isinstance(outcome, Halted) else outcome.last_id
-        profile.append((outcome.steps, len(snapshot.tape)))
-        if isinstance(outcome, Halted) and outcome.steps < mark:
+        while t < mark:
+            rule = table.get(state * m + tape.get(head, BLANK))
+            if rule is None:
+                break
+            write, move, state = rule
+            if write:
+                tape[head] = write
+            else:
+                tape.pop(head, None)
+            head += move
+            t += 1
+        profile.append((t, len(tape)))
+        if t < mark:
             break
     return profile
 
@@ -375,8 +467,9 @@ def load_fixture(path: str | Path) -> TrioFixture:
     ``g`` (a function file), ``entry`` (the definition to use),
     ``machine`` (a machine file), ``quantum``, ``budget``,
     ``max_cert_size``.  Optional: ``args`` (comma-separated naturals),
-    ``expect`` (a verdict tag), ``history_cap``.  File paths resolve
-    relative to the descriptor.
+    ``expect`` (a verdict tag), ``history_cap`` (a natural; without it
+    the recorder is unbounded).  File paths resolve relative to the
+    descriptor.
     """
     p = Path(path)
     try:
@@ -437,7 +530,7 @@ def load_fixture(path: str | Path) -> TrioFixture:
     expect = pairs.get("expect")
     if expect is not None and expect not in _EXPECT_TAGS:
         raise FixtureError(f"{p}: expect must be one of {sorted(_EXPECT_TAGS)}")
-    cap = int(pairs["history_cap"]) if pairs.get("history_cap", "").isdigit() else None
+    cap = natural("history_cap") if "history_cap" in pairs else None
     g_body = functions[entry]
     if arity(g_body) != len(args) + 1:
         raise FixtureError(

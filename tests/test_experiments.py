@@ -1,9 +1,19 @@
 """Enumeration, classification, demonstration, and fixture-suite tests."""
 
+import random
+import shutil
+
 import pytest
 
-from haltlab.machine import RIGHT, Machine
-from haltlab.oracle import BudgetExceeded, Halted, LoopDetected
+from haltlab.machine import LEFT, RIGHT, Machine
+from haltlab.oracle import (
+    BudgetExceeded,
+    Halted,
+    LoopDetected,
+    replay_verify,
+    run,
+    run_with_oracle,
+)
 from haltlab.experiments import (
     CLASS_SIZE_GUARD,
     ClassificationReport,
@@ -88,6 +98,51 @@ def test_one_state_class_has_no_loops_from_blank_tape():
     assert report.max_halt_steps == 0
 
 
+def _per_machine_csv(mclass, budget, history_cap, input_symbols):
+    """The sweep as one oracle run per machine: the reference for the tree."""
+    rows = []
+    for machine in enumerate_class(mclass):
+        outcome = run_with_oracle(machine, input_symbols, budget, history_cap)
+        audit = None
+        if isinstance(outcome, (Halted, LoopDetected)):
+            audit = replay_verify(machine, input_symbols, outcome)
+        rows.append(ClassificationRow(machine_code(machine), outcome, audit))
+    report = ClassificationReport(mclass, budget, history_cap, input_symbols, rows, 0.0)
+    return report_to_csv(report)
+
+
+@pytest.mark.parametrize(
+    "states, symbols, budget, history_cap, input_symbols",
+    [
+        (1, 1, 300, None, ()),
+        (1, 2, 300, None, ()),
+        (1, 3, 300, None, (1, 2)),
+        (2, 1, 300, 5, ()),
+        (2, 2, 0, 1, (1, 0, 1)),
+        (2, 2, 0, 40, (1, 0, 1)),
+        (2, 2, 0, None, (1, 0, 1)),
+        (2, 2, 300, 1, (1, 0, 1)),
+        (2, 2, 300, 40, (1, 0, 1)),
+        (2, 2, 300, None, (1, 0, 1)),
+    ],
+)
+def test_prefix_tree_sweep_matches_one_run_per_machine(
+    states, symbols, budget, history_cap, input_symbols
+):
+    mclass = MachineClass(states, symbols)
+    report = classify_all(mclass, budget, history_cap, input_symbols)
+    assert report_to_csv(report) == _per_machine_csv(mclass, budget, history_cap, input_symbols)
+    assert 1 <= report.oracle_runs <= mclass.size
+
+
+def test_two_state_sweep_shares_runs_between_machines():
+    report = classify_all(MachineClass(2, 2), budget=1_000)
+    assert report.oracle_runs == 297
+    assert report.counts == {"halted": 1165, "loop_detected": 274, "budget_exceeded": 5122}
+    assert report.all_audits_passed
+    assert "oracle runs: 297 for 6561 machines" in summary_text(report)
+
+
 def test_classification_csv_is_stable():
     report_a = classify_all(MachineClass(1, 2), budget=50)
     report_b = classify_all(MachineClass(1, 2), budget=50)
@@ -136,6 +191,40 @@ def test_growth_profile_of_a_shuttler_is_flat():
     assert all(count == 0 for count in counts)
 
 
+def _profile_by_reruns(machine, input_symbols, budget, samples):
+    """The growth profile as one plain run from step 0 per mark."""
+    marks = sorted({round(i * budget / (samples - 1)) for i in range(samples)})
+    profile = []
+    for mark in marks:
+        outcome = run(machine, input_symbols, mark)
+        snapshot = outcome.final_id if isinstance(outcome, Halted) else outcome.last_id
+        profile.append((outcome.steps, len(snapshot.tape)))
+        if isinstance(outcome, Halted) and outcome.steps < mark:
+            break
+    return profile
+
+
+def test_growth_profile_matches_one_run_per_mark():
+    rng = random.Random(20260)
+    options = [None] + [(w, mv, n) for w in range(2) for mv in (LEFT, RIGHT) for n in range(2)]
+    halting = 0
+    for _ in range(400):
+        table = {(s, a): rng.choice(options) for s in range(2) for a in range(2)}
+        machine = Machine(2, 2, {slot: rule for slot, rule in table.items() if rule})
+        tape = tuple(rng.randrange(2) for _ in range(rng.randrange(4)))
+        budget, samples = rng.randrange(30), rng.randrange(2, 9)
+        profile = cell_growth_profile(machine, tape, budget, samples)
+        assert profile == _profile_by_reruns(machine, tape, budget, samples)
+        halting += isinstance(run(machine, tape, budget), Halted)
+    assert halting > 50
+
+
+def test_growth_profile_repeats_a_halt_that_lands_on_a_mark():
+    # Halts after exactly two steps, which is the second of marks 0, 2, 4.
+    walker = Machine(2, 2, {(0, 0): (1, RIGHT, 1), (1, 0): (1, LEFT, 0)})
+    assert cell_growth_profile(walker, (), budget=4, samples=3) == [(0, 0), (2, 2), (2, 2)]
+
+
 def test_falsify_demo_small_ladder():
     report = falsify_demo(budgets=(10, 50))
     assert report.all_budget_exceeded
@@ -182,6 +271,19 @@ def test_fixture_diagnostics_name_the_broken_file(tmp_path):
     )
     with pytest.raises(FixtureError, match="expect"):
         load_fixture(bad_expect)
+
+
+def test_fixture_history_cap_must_be_a_natural(tmp_path):
+    for name in ("nonzero_opaque.rf", "runner.tm"):
+        shutil.copy(f"{FIXTURES}/{name}", tmp_path / name)
+    text = open(f"{FIXTURES}/exhausted_budget.task", encoding="utf-8").read()
+    task = tmp_path / "exhausted_budget.task"
+    task.write_text(text + "history_cap = 7\n", encoding="utf-8")
+    assert load_fixture(task).task.t2_history_cap == 7
+    for value in ("lots", "-3", ""):
+        task.write_text(text + f"history_cap = {value}\n", encoding="utf-8")
+        with pytest.raises(FixtureError, match=r"exhausted_budget\.task: history_cap"):
+            load_fixture(task)
 
 
 def test_shipped_suite_is_green_and_byte_stable():
