@@ -12,7 +12,10 @@ definitions ``def name = term`` where terms use the constructors
 ``primrec base step`` and ``mu body``; parentheses group freely, and a
 name mentioned in a term refers to an earlier definition in the same
 file, which is inlined on the spot (so definitions cannot be cyclic and
-must precede their uses).  ``#`` starts a comment in both formats.
+must precede their uses).  A term may nest constructors at most
+``MAX_TERM_DEPTH`` deep, counting the constructors of every definition
+it inlines by name; parentheses that only group do not count.  ``#``
+starts a comment in both formats.
 
 ``parse_program`` accepts either format, telling them apart by the
 ``states=`` header, and returns a Program; ``format_program`` prints a
@@ -43,6 +46,11 @@ from .recfun import (
 )
 
 FORMAT_VERSION = 1
+
+# The deepest a term may nest constructors, counting the definitions it
+# inlines by name; it keeps every recursive walk over a parsed term far
+# inside the interpreter's recursion limit.
+MAX_TERM_DEPTH = 200
 
 _RESERVED = frozenset(
     {"def", "zero", "succ", "proj", "compose", "primrec", "mu", "format"}
@@ -122,6 +130,8 @@ class _Cursor:
     def __init__(self, tokens: list[_Token]) -> None:
         self.tokens = tokens
         self.pos = 0
+        # deepest constructor nesting reached in the current definition
+        self.deepest = 0
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -145,12 +155,31 @@ class _Cursor:
         return int(tok.text)
 
 
-def _parse_term(cur: _Cursor, env: dict[str, RecExpr]) -> RecExpr:
-    tok = cur.next()
-    if tok.kind == "punct" and tok.text == "(":
-        term = _parse_term(cur, env)
+# A definition maps to its term and the term's constructor nesting.
+_Env = dict[str, tuple[RecExpr, int]]
+
+
+def _parse_term(cur: _Cursor, env: _Env, depth: int) -> RecExpr:
+    """A term ``depth`` constructors deep; grouping parentheses loop, not recurse."""
+    opened = 0
+    while cur.peek().kind == "punct" and cur.peek().text == "(":
+        cur.next()
+        opened += 1
+    term = _parse_constructor(cur, env, depth)
+    for _ in range(opened):
         cur.expect_punct(")")
-        return term
+    return term
+
+
+def _reach(cur: _Cursor, tok: _Token, depth: int) -> None:
+    if depth > MAX_TERM_DEPTH:
+        raise ParseError(f"term nests deeper than {MAX_TERM_DEPTH}", tok.line, tok.col)
+    cur.deepest = max(cur.deepest, depth)
+
+
+def _parse_constructor(cur: _Cursor, env: _Env, depth: int) -> RecExpr:
+    tok = cur.next()
+    _reach(cur, tok, depth)
     if tok.kind != "word":
         raise ParseError("expected a term", tok.line, tok.col)
     word = tok.text
@@ -163,7 +192,7 @@ def _parse_term(cur: _Cursor, env: dict[str, RecExpr]) -> RecExpr:
         n = cur.expect_int("a projection width")
         return Proj(i, n)
     if word == "compose":
-        outer = _parse_term(cur, env)
+        outer = _parse_term(cur, env, depth + 1)
         cur.expect_punct("(")
         inners = []
         while not (cur.peek().kind == "punct" and cur.peek().text == ")"):
@@ -173,21 +202,23 @@ def _parse_term(cur: _Cursor, env: dict[str, RecExpr]) -> RecExpr:
                     cur.peek().line,
                     cur.peek().col,
                 )
-            inners.append(_parse_term(cur, env))
+            inners.append(_parse_term(cur, env, depth + 1))
         cur.expect_punct(")")
         if not inners:
             raise ParseError("compose needs at least one argument", tok.line, tok.col)
         return Compose(outer, tuple(inners))
     if word == "primrec":
-        base = _parse_term(cur, env)
-        step = _parse_term(cur, env)
+        base = _parse_term(cur, env, depth + 1)
+        step = _parse_term(cur, env, depth + 1)
         return PrimRec(base, step)
     if word == "mu":
-        return Mu(_parse_term(cur, env))
+        return Mu(_parse_term(cur, env, depth + 1))
     if word in _RESERVED:
         raise ParseError(f"{word!r} cannot appear inside a term", tok.line, tok.col)
     if word in env:
-        return env[word]
+        term, nesting = env[word]
+        _reach(cur, tok, depth + nesting - 1)
+        return term
     raise ParseError(f"unknown name {word!r}", tok.line, tok.col)
 
 
@@ -208,7 +239,7 @@ def _parse_version(cur: _Cursor) -> None:
 def _parse_functions(text: str) -> dict[str, RecExpr]:
     cur = _Cursor(_tokenize(text))
     _parse_version(cur)
-    env: dict[str, RecExpr] = {}
+    env: _Env = {}
     while cur.peek().kind != "end":
         tok = cur.next()
         if tok.kind != "word" or tok.text != "def":
@@ -222,13 +253,14 @@ def _parse_functions(text: str) -> dict[str, RecExpr]:
         if name in env:
             raise ParseError(f"duplicate definition {name!r}", name_tok.line, name_tok.col)
         cur.expect_punct("=")
-        term = _parse_term(cur, env)
+        cur.deepest = 0
+        term = _parse_term(cur, env, 1)
         try:
             arity(term)
         except ArityError as err:
             raise ParseError(f"in {name!r}: {err}", name_tok.line, name_tok.col) from None
-        env[name] = term
-    return env
+        env[name] = (term, cur.deepest)
+    return {name: term for name, (term, _) in env.items()}
 
 
 # --- the machine grammar ----------------------------------------------------

@@ -32,13 +32,13 @@ from pathlib import Path
 from typing import Iterator
 
 from .dsl import ParseError, load_program
-from .machine import BLANK, LEFT, Machine, RIGHT, Transition, initial_id
+from .machine import LEFT, Machine, RIGHT, Transition
 from .oracle import (
     BudgetExceeded,
     Halted,
     LoopDetected,
+    PlainRun,
     RunOutcome,
-    _flat_table,
     replay_verify,
     run,  # not called here; the benchmark tracer wraps experiments.run
     run_with_oracle,
@@ -350,26 +350,12 @@ def cell_growth_profile(
     if samples < 2:
         raise ValueError("need at least two sample points")
     marks = sorted({round(i * budget / (samples - 1)) for i in range(samples)})
-    start = initial_id(machine, tuple(input_symbols))
-    table = _flat_table(machine)
-    m = machine.alphabet_size
-    state, head, tape = start.state, start.head, start.tape_dict()
-    t = 0
+    plain = PlainRun(machine, input_symbols)
     profile = []
     for mark in marks:
-        while t < mark:
-            rule = table.get(state * m + tape.get(head, BLANK))
-            if rule is None:
-                break
-            write, move, state = rule
-            if write:
-                tape[head] = write
-            else:
-                tape.pop(head, None)
-            head += move
-            t += 1
-        profile.append((t, len(tape)))
-        if t < mark:
+        halted = plain.execute(mark - plain.steps)
+        profile.append((plain.steps, len(plain.tape)))
+        if halted:
             break
     return profile
 
@@ -503,10 +489,9 @@ def load_fixture(path: str | Path) -> TrioFixture:
     if unknown:
         raise FixtureError(f"{p}: unknown keys {sorted(unknown)}")
 
-    def natural(key: str) -> int:
-        value = pairs[key]
-        if not value.isdigit():
-            raise FixtureError(f"{p}: {key} must be a natural, got {value!r}")
+    def natural(what: str, value: str) -> int:
+        if not (value.isascii() and value.isdigit()):
+            raise FixtureError(f"{p}: {what} must be a natural, got {value!r}")
         return int(value)
 
     try:
@@ -522,15 +507,12 @@ def load_fixture(path: str | Path) -> TrioFixture:
     if not machines:
         raise FixtureError(f"{p}: {pairs['machine']} defines no machine")
     machine = next(iter(machines.values()))
-    args_text = pairs.get("args", "")
-    try:
-        args = tuple(int(part) for part in args_text.split(",") if part.strip())
-    except ValueError:
-        raise FixtureError(f"{p}: args must be comma-separated naturals") from None
+    parts = [part.strip() for part in pairs.get("args", "").split(",")]
+    args = tuple(natural("args entry", part) for part in parts if part)
     expect = pairs.get("expect")
     if expect is not None and expect not in _EXPECT_TAGS:
         raise FixtureError(f"{p}: expect must be one of {sorted(_EXPECT_TAGS)}")
-    cap = natural("history_cap") if "history_cap" in pairs else None
+    cap = natural("history_cap", pairs["history_cap"]) if "history_cap" in pairs else None
     g_body = functions[entry]
     if arity(g_body) != len(args) + 1:
         raise FixtureError(
@@ -541,9 +523,9 @@ def load_fixture(path: str | Path) -> TrioFixture:
             g_body=g_body,
             fixed_args=args,
             t2_machine=machine,
-            quantum=natural("quantum"),
-            budget=natural("budget"),
-            max_cert_size=natural("max_cert_size"),
+            quantum=natural("quantum", pairs["quantum"]),
+            budget=natural("budget", pairs["budget"]),
+            max_cert_size=natural("max_cert_size", pairs["max_cert_size"]),
             t2_history_cap=cap,
         )
     except ValueError as err:

@@ -21,6 +21,16 @@ period p is reported at step i + p exactly.  Budgets count executed
 steps; discovering that no transition applies consumes none, so a halt
 at step s is reported as Halted(s) even when s equals the budget.
 
+Two loops step a machine here.  ``PlainRun.execute`` is the one plain
+kernel: ``run``, every branch of ``replay_verify``, the re-simulation
+that confirms a fingerprint hit, and the experiments' growth profile
+all rest on it.  ``OracleRun.advance`` is the one recording loop.  It
+stays separate because it folds each step's cell, head and state change
+into the fingerprint and probes the history as it goes; routing it
+through the kernel would cost a call per step on the path that decides
+every verdict.  ``machine.step`` remains the independent reference both
+are tested against.
+
 The one outcome this module cannot produce is "runs forever without
 repeating".  Machines that grow their tape monotonically (the
 right-runner is the canonical witness) never revisit a configuration,
@@ -118,22 +128,63 @@ class BudgetExceeded:
 RunOutcome = Halted | LoopDetected | BudgetExceeded
 
 
-def _flat_table(machine: Machine) -> dict[int, tuple[int, int, int]]:
-    m = machine.alphabet_size
-    return {
-        s * m + r: (w, 1 if mv == RIGHT else -1, ns)
-        for (s, r), (w, mv, ns) in machine.transitions.items()
-    }
+class PlainRun:
+    """The plain stepping kernel: a resumable run with no recording.
+
+    ``execute(n)`` runs at most n steps in place on ``state``, ``head``,
+    ``tape`` and ``steps`` and says whether the machine halted first.
+    """
+
+    def __init__(self, machine: Machine, input_symbols: Iterable[int] = ()) -> None:
+        start = initial_id(machine, tuple(input_symbols))
+        self._m = m = machine.alphabet_size
+        # (state, symbol) folded to one int key; moves as head offsets
+        self._table = {
+            s * m + r: (w, 1 if mv == RIGHT else -1, ns)
+            for (s, r), (w, mv, ns) in machine.transitions.items()
+        }
+        self.state = start.state
+        self.head = start.head
+        self.tape = start.tape_dict()
+        self.steps = 0
+
+    def snapshot(self) -> InstantaneousDescription:
+        return InstantaneousDescription.from_tape(self.state, self.head, self.tape)
+
+    def at_halt(self) -> bool:
+        scanned = self.tape.get(self.head, BLANK)
+        return (self.state * self._m + scanned) not in self._table
+
+    def execute(self, n: int) -> bool:
+        table = self._table
+        m = self._m
+        tape = self.tape
+        state = self.state
+        head = self.head
+        for done in range(n):
+            rule = table.get(state * m + tape.get(head, 0))
+            if rule is None:
+                self.state, self.head, self.steps = state, head, self.steps + done
+                return True
+            write, move, state = rule
+            if write:
+                tape[head] = write
+            else:
+                tape.pop(head, None)
+            head += move
+        self.state, self.head, self.steps = state, head, self.steps + max(n, 0)
+        return False
 
 
-class OracleRun:
+class OracleRun(PlainRun):
     """An incremental oracle-observed run, advanced in bounded slices.
 
     ``advance(n)`` executes at most n steps and returns the outcome as
     soon as one is decided, else None.  Once decided, the outcome is
     sticky.  ``history_len`` counts recorded configurations; after s
     executed steps with no repetition it is exactly s + 1 (the initial
-    configuration is recorded before step 0).
+    configuration is recorded before step 0).  Steps go through
+    ``advance`` only: the inherited ``execute`` skips the fingerprint.
     """
 
     def __init__(
@@ -144,13 +195,7 @@ class OracleRun:
     ) -> None:
         self.machine = machine
         self.input = tuple(input_symbols)
-        start = initial_id(machine, self.input)
-        self._table = _flat_table(machine)
-        self._m = machine.alphabet_size
-        self.state = start.state
-        self.head = start.head
-        self.tape = start.tape_dict()
-        self.steps = 0
+        super().__init__(machine, self.input)
         self.max_history = max_history
         self.outcome: RunOutcome | None = None
         h = _zstate(self.state) ^ _zhead(self.head)
@@ -164,13 +209,6 @@ class OracleRun:
         if max_history is not None and self.history_len > max_history:
             self.outcome = BudgetExceeded(0, self.snapshot(), history_capped=True)
 
-    def snapshot(self) -> InstantaneousDescription:
-        return InstantaneousDescription.from_tape(self.state, self.head, self.tape)
-
-    def at_halt(self) -> bool:
-        scanned = self.tape.get(self.head, BLANK)
-        return (self.state * self._m + scanned) not in self._table
-
     def _confirmed_first_index(self, bucket: int | list[int]) -> int | None:
         """Re-simulate to weed fingerprint collisions out of a hit.
 
@@ -179,9 +217,10 @@ class OracleRun:
         false collision.
         """
         indices = (bucket,) if isinstance(bucket, int) else bucket
-        for index in indices:
-            state, head, tape = _simulate(self.machine, self.input, index)[1:]
-            if state == self.state and head == self.head and tape == self.tape:
+        past = PlainRun(self.machine, self.input)
+        for index in indices:  # ascending, and all before the current step
+            past.execute(index - past.steps)
+            if past.state == self.state and past.head == self.head and past.tape == self.tape:
                 return index
         return None
 
@@ -253,26 +292,11 @@ def run(machine: Machine, input_symbols: Iterable[int] = (), budget: int = 10_00
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    start = initial_id(machine, tuple(input_symbols))
-    table = _flat_table(machine)
-    m = machine.alphabet_size
-    state, head, tape = start.state, start.head, start.tape_dict()
-    t = 0
-    while True:
-        scanned = tape.get(head, 0)
-        rule = table.get(state * m + scanned)
-        if rule is None:
-            return Halted(t, InstantaneousDescription.from_tape(state, head, tape))
-        if t == budget:
-            return BudgetExceeded(t, InstantaneousDescription.from_tape(state, head, tape))
-        write, move, nxt = rule
-        if write:
-            tape[head] = write
-        else:
-            tape.pop(head, None)
-        head += move
-        state = nxt
-        t += 1
+    plain = PlainRun(machine, input_symbols)
+    plain.execute(budget)
+    if plain.at_halt():
+        return Halted(plain.steps, plain.snapshot())
+    return BudgetExceeded(plain.steps, plain.snapshot())
 
 
 def run_with_oracle(
@@ -298,34 +322,6 @@ def run_with_oracle(
     return BudgetExceeded(oracle.steps, oracle.snapshot())
 
 
-def _simulate(
-    machine: Machine, input_symbols: tuple[int, ...], steps: int
-) -> tuple[int | None, int, int, dict[int, int]]:
-    """Run exactly ``steps`` steps without any recording.
-
-    Returns (halted_at, state, head, tape).  ``halted_at`` is the step
-    count at which the machine ran out of transitions, or None if it
-    completed all requested steps.
-    """
-    start = initial_id(machine, input_symbols)
-    table = _flat_table(machine)
-    m = machine.alphabet_size
-    state, head, tape = start.state, start.head, start.tape_dict()
-    for t in range(steps):
-        scanned = tape.get(head, 0)
-        rule = table.get(state * m + scanned)
-        if rule is None:
-            return t, state, head, tape
-        write, move, nxt = rule
-        if write:
-            tape[head] = write
-        else:
-            tape.pop(head, None)
-        head += move
-        state = nxt
-    return None, state, head, tape
-
-
 def replay_verify(machine: Machine, input_symbols: Iterable[int], outcome: RunOutcome) -> bool:
     """Audit an outcome by re-simulating without the oracle.
 
@@ -334,43 +330,19 @@ def replay_verify(machine: Machine, input_symbols: Iterable[int], outcome: RunOu
     configuration(first_index + period); BudgetExceeded must reach the
     claimed step count alive with the claimed last configuration.
     """
-    inp = tuple(input_symbols)
-    if isinstance(outcome, Halted):
-        if outcome.steps < 0:
-            return False
-        halted_at, state, head, tape = _simulate(machine, inp, outcome.steps)
-        if halted_at is not None:
-            return False
-        here = InstantaneousDescription.from_tape(state, head, tape)
-        if here != outcome.final_id:
-            return False
-        return machine.transitions.get((state, tape.get(head, BLANK))) is None
     if isinstance(outcome, LoopDetected):
         if outcome.first_index < 0 or outcome.period < 1:
             return False
-        halted_at, state, head, tape = _simulate(machine, inp, outcome.first_index)
-        if halted_at is not None:
+        plain = PlainRun(machine, input_symbols)
+        if plain.execute(outcome.first_index):
             return False
-        seen = (state, head, dict(tape))
-        table = _flat_table(machine)
-        m = machine.alphabet_size
-        for _ in range(outcome.period):
-            rule = table.get(state * m + tape.get(head, 0))
-            if rule is None:
-                return False
-            write, move, nxt = rule
-            if write:
-                tape[head] = write
-            else:
-                tape.pop(head, None)
-            head += move
-            state = nxt
-        return seen == (state, head, tape)
-    if isinstance(outcome, BudgetExceeded):
-        if outcome.steps < 0:
-            return False
-        halted_at, state, head, tape = _simulate(machine, inp, outcome.steps)
-        if halted_at is not None:
-            return False
-        return InstantaneousDescription.from_tape(state, head, tape) == outcome.last_id
-    return False
+        seen = (plain.state, plain.head, dict(plain.tape))
+        return not plain.execute(outcome.period) and seen == (plain.state, plain.head, plain.tape)
+    if not isinstance(outcome, (Halted, BudgetExceeded)) or outcome.steps < 0:
+        return False
+    plain = PlainRun(machine, input_symbols)
+    if plain.execute(outcome.steps):
+        return False
+    if isinstance(outcome, Halted):
+        return plain.at_halt() and plain.snapshot() == outcome.final_id
+    return plain.snapshot() == outcome.last_id

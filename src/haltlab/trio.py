@@ -164,8 +164,10 @@ class TrioRun:
         while available > 0:
             value, cost = evaluate_costed(g, fixed + (self._t1_candidate,), available)
             if value is None:
-                # Candidate unfinished; the committed meter stands and the
-                # next round's grant extends this same evaluation.
+                # Candidate unfinished; the committed meter stands.  The
+                # next round evaluates this candidate again from scratch
+                # with the larger allowance; the fuel spent here is not
+                # counted in t1_spent.
                 return None
             self.t1_spent += cost
             available -= cost

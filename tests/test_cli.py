@@ -86,6 +86,19 @@ def test_trio_expectation_mismatch_is_an_audit_error(tmp_path, capsys):
     assert "MISMATCH" in captured.out
 
 
+def test_trio_negative_fixture_argument_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "g.rf").write_text("def g = compose succ (proj 2 2)\n", encoding="utf-8")
+    (tmp_path / "m.tm").write_text("states=1 alphabet=2 start=0\n0 0 -> 1 R 0\n", encoding="utf-8")
+    (tmp_path / "negative.task").write_text(
+        "g=g.rf\nentry=g\nmachine=m.tm\nquantum=5\nbudget=20\nmax_cert_size=3\nargs=-3\n",
+        encoding="utf-8",
+    )
+    code = main(["trio", "--fixtures", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "negative.task: args entry must be a natural" in captured.err
+
+
 def test_eval_prints_the_value(capsys):
     code = main(["eval", "--program", f"{FIXTURES}/find_zero.rf", "--name", "g", "--args", "2"])
     captured = capsys.readouterr()

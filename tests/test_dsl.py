@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from haltlab.dsl import (
     MAIN_MACHINE,
+    MAX_TERM_DEPTH,
     ParseError,
     Program,
     format_machine,
@@ -17,7 +18,7 @@ from haltlab.dsl import (
     parse_program,
 )
 from haltlab.machine import LEFT, RIGHT, Machine
-from haltlab.recfun import MONUS, Compose, Proj, Succ, Zero, const_expr
+from haltlab.recfun import MONUS, Compose, Proj, Succ, Zero, const_expr, evaluate
 from tests.helpers import gen_expr, gen_machine
 
 FIXTURES = "fixtures/trio"
@@ -102,6 +103,35 @@ def test_diagnostics_carry_line_and_column():
         parse_program("def a = zero\ndef b = ~\n")
     assert err.value.line == 2
     assert err.value.col == 9
+
+
+def test_term_nesting_is_bounded_with_a_located_diagnostic():
+    # Grouping parentheses nest without limit; only constructors count.
+    assert parse_program("def g = " + "(" * 5000 + "zero" + ")" * 5000).functions == {"g": Zero()}
+    with pytest.raises(ParseError) as err:
+        parse_program("def g = " + "(" * 5000 + "zero")
+    assert (err.value.line, err.value.col) == (1, 5013)
+
+    nested = "def g = " + "compose succ (" * 5000 + "zero" + ")" * 5000
+    with pytest.raises(ParseError, match=f"deeper than {MAX_TERM_DEPTH}") as err:
+        parse_program(nested)
+    # the succ of the 200th compose would be the 201st constructor down
+    assert (err.value.line, err.value.col) == (1, 9 + 14 * (MAX_TERM_DEPTH - 1) + 8)
+
+    # Names count with the nesting of the definition they inline.
+    chain = "def f0 = zero\n" + "".join(
+        f"def f{k + 1} = compose succ (f{k})\n" for k in range(1999)
+    )
+    with pytest.raises(ParseError, match=f"deeper than {MAX_TERM_DEPTH}") as err:
+        parse_program(chain)
+    assert err.value.line == MAX_TERM_DEPTH + 1
+
+    # A term right at the bound still parses, evaluates and round-trips.
+    lines = chain.splitlines()[:MAX_TERM_DEPTH]
+    prog = parse_program("\n".join(lines))
+    top = prog.functions[f"f{MAX_TERM_DEPTH - 1}"]
+    assert evaluate(top, (0,), 10_000) == MAX_TERM_DEPTH - 1
+    assert parse_program(format_program(prog)) == prog
 
 
 def test_bad_projection_is_reported_with_the_definition_name():

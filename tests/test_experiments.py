@@ -286,6 +286,19 @@ def test_fixture_history_cap_must_be_a_natural(tmp_path):
             load_fixture(task)
 
 
+def test_fixture_args_must_be_naturals(tmp_path):
+    (tmp_path / "g.rf").write_text("def g = compose succ (proj 2 2)\n", encoding="utf-8")
+    (tmp_path / "m.tm").write_text("states=1 alphabet=2 start=0\n0 0 -> 1 R 0\n", encoding="utf-8")
+    task = tmp_path / "fixed.task"
+    head = "g=g.rf\nentry=g\nmachine=m.tm\nquantum=5\nbudget=20\nmax_cert_size=3\n"
+    task.write_text(head + "args = 4\n", encoding="utf-8")
+    assert load_fixture(task).task.fixed_args == (4,)
+    for value in ("-3", "x", "+4", "\u00b2", "4.0"):
+        task.write_text(head + f"args = {value}\n", encoding="utf-8")
+        with pytest.raises(FixtureError, match=r"fixed\.task: args entry must be a natural"):
+            load_fixture(task)
+
+
 def test_shipped_suite_is_green_and_byte_stable():
     report = run_fixture_suite(FIXTURES)
     assert report.ok

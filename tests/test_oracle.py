@@ -159,6 +159,13 @@ def test_replay_rejects_corrupted_outcomes():
 
     assert not replay_verify(m, (0, 0, 1), BudgetExceeded(steps=10, last_id=wrong_tape))
 
+    # Claims that run past the halt at step 2.
+    past = true_halt.steps + 1
+    assert not replay_verify(m, (0, 0, 1), Halted(past, true_halt.final_id))
+    assert not replay_verify(m, (0, 0, 1), BudgetExceeded(steps=past, last_id=true_halt.final_id))
+    assert not replay_verify(m, (0, 0, 1), LoopDetected(first_index=past, period=1))
+    assert not replay_verify(m, (0, 0, 1), LoopDetected(first_index=0, period=past))
+
 
 def test_replay_accepts_any_true_recurrence_not_only_the_first():
     # The loop claim is existential; a doubled period is still a fact.
@@ -191,3 +198,25 @@ def test_oracle_agrees_with_plain_simulation(machine):
         assert seen[oracle.first_index] == seen[oracle.first_index + oracle.period]
     else:
         assert plain == BudgetExceeded(steps=oracle.steps, last_id=oracle.last_id)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_plain_run_matches_the_reference_step(data):
+    """``run`` rests on the plain kernel; ``machine.step`` is the reference."""
+    machine = data.draw(machines())
+    symbols = st.integers(0, machine.alphabet_size - 1)
+    tape = tuple(data.draw(st.lists(symbols, min_size=1, max_size=6)))
+    budget = data.draw(st.integers(0, 60))
+    desc = initial_id(machine, tape)
+    expected = None
+    for t in range(budget):
+        nxt = step(machine, desc)
+        if nxt is None:
+            expected = Halted(t, desc)
+            break
+        desc = nxt
+    if expected is None:
+        halts = step(machine, desc) is None
+        expected = Halted(budget, desc) if halts else BudgetExceeded(budget, desc)
+    assert run(machine, tape, budget) == expected
