@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .dsl import ParseError, load_program
+from .dsl import ParseError, load_program, parse_natural
 from .experiments import (
     DEFAULT_BUDGET,
     DEFAULT_HISTORY_CAP,
@@ -88,9 +88,10 @@ def _parse_naturals(text: str, what: str) -> tuple[int, ...]:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     values = []
     for part in parts:
-        if not part.isdigit():
+        value = parse_natural(part)
+        if value is None:
             raise ValueError(f"{what} must be comma-separated naturals, got {part!r}")
-        values.append(int(part))
+        values.append(value)
     return tuple(values)
 
 

@@ -34,6 +34,7 @@ from pathlib import Path
 
 from .machine import Machine, MachineError, MOVES
 from .recfun import (
+    MAX_TERM_DEPTH,
     ArityError,
     Compose,
     Mu,
@@ -47,14 +48,24 @@ from .recfun import (
 
 FORMAT_VERSION = 1
 
-# The deepest a term may nest constructors, counting the definitions it
-# inlines by name; it keeps every recursive walk over a parsed term far
-# inside the interpreter's recursion limit.
-MAX_TERM_DEPTH = 200
-
 _RESERVED = frozenset(
     {"def", "zero", "succ", "proj", "compose", "primrec", "mu", "format"}
 )
+
+
+def parse_natural(text: str) -> int | None:
+    """The natural an ASCII digit string spells, or None for any other text.
+
+    ``str.isdigit`` alone also takes digits such as ``²`` that ``int``
+    rejects, and ``int`` refuses strings longer than the interpreter's
+    conversion limit; both come back as None, never as an exception.
+    """
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
 
 
 class ParseError(ValueError):
@@ -106,9 +117,9 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token("punct", c, line, col))
             col += 1
             i += 1
-        elif c.isdigit():
+        elif "0" <= c <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(_Token("int", text[i:j], line, col))
             col += j - i
@@ -152,7 +163,10 @@ class _Cursor:
         tok = self.next()
         if tok.kind != "int":
             raise ParseError(f"expected {what}", tok.line, tok.col)
-        return int(tok.text)
+        value = parse_natural(tok.text)
+        if value is None:
+            raise ParseError(f"{what} has too many digits", tok.line, tok.col)
+        return value
 
 
 # A definition maps to its term and the term's constructor nesting.
@@ -289,12 +303,13 @@ def _parse_machine(text: str) -> Machine:
     for token in header.split():
         if "=" not in token:
             raise ParseError(f"malformed header field {token!r}", header_line, 1)
-        key, _, value = token.partition("=")
-        if key not in ("states", "alphabet", "start") or not value.isdigit():
+        key, _, text = token.partition("=")
+        value = parse_natural(text)
+        if key not in ("states", "alphabet", "start") or value is None:
             raise ParseError(f"malformed header field {token!r}", header_line, 1)
         if key in fields:
             raise ParseError(f"duplicate header field {key!r}", header_line, 1)
-        fields[key] = int(value)
+        fields[key] = value
     missing = {"states", "alphabet", "start"} - fields.keys()
     if missing:
         raise ParseError(f"header is missing {sorted(missing)}", header_line, 1)
@@ -310,12 +325,11 @@ def _parse_machine(text: str) -> Machine:
                 "expected 'state symbol -> write move nextState'", number, 1
             )
         state_s, symbol_s, _, write_s, move, next_s = parts
-        if not (state_s.isdigit() and symbol_s.isdigit() and write_s.isdigit() and next_s.isdigit()):
+        state, symbol, write, nxt = map(parse_natural, (state_s, symbol_s, write_s, next_s))
+        if None in (state, symbol, write, nxt):
             raise ParseError("states and symbols must be naturals", number, 1)
         if move not in MOVES:
             raise ParseError(f"move must be L or R, got {move!r}", number, 1)
-        state, symbol = int(state_s), int(symbol_s)
-        write, nxt = int(write_s), int(next_s)
         if state >= states or nxt >= states:
             raise ParseError(f"state out of range in {content!r}", number, 1)
         if symbol >= alphabet or write >= alphabet:

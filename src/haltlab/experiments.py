@@ -31,7 +31,7 @@ from itertools import product
 from pathlib import Path
 from typing import Iterator
 
-from .dsl import ParseError, load_program
+from .dsl import ParseError, load_program, parse_natural
 from .machine import LEFT, Machine, RIGHT, Transition
 from .oracle import (
     BudgetExceeded,
@@ -489,10 +489,11 @@ def load_fixture(path: str | Path) -> TrioFixture:
     if unknown:
         raise FixtureError(f"{p}: unknown keys {sorted(unknown)}")
 
-    def natural(what: str, value: str) -> int:
-        if not (value.isascii() and value.isdigit()):
-            raise FixtureError(f"{p}: {what} must be a natural, got {value!r}")
-        return int(value)
+    def natural(what: str, text: str) -> int:
+        value = parse_natural(text)
+        if value is None:
+            raise FixtureError(f"{p}: {what} must be a natural, got {text!r}")
+        return value
 
     try:
         functions = load_program(p.parent / pairs["g"]).functions

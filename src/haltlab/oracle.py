@@ -31,18 +31,41 @@ through the kernel would cost a call per step on the path that decides
 every verdict.  ``machine.step`` remains the independent reference both
 are tested against.
 
-The one outcome this module cannot produce is "runs forever without
+The one verdict this module does not give is "runs forever without
 repeating".  Machines that grow their tape monotonically (the
 right-runner is the canonical witness) never revisit a configuration,
 and every budget ends in BudgetExceeded.  That gap is structural, not a
-bug; the experiments module demonstrates it explicitly.  No attempt is
-made to recognize translated or otherwise transformed recurrences:
-equality here is exact equality of configurations.
+bug; the experiments module demonstrates it explicitly.
+
+What the recording loop does recognize is a translated cycle, the
+decider of that name in the bbchallenge project, in the spirit of
+Marxen & Buntrock's macro machines.  A record is a step that takes the
+head to a new rightmost (leftmost) cell lying beyond every nonblank
+input cell, so the record cell and everything ahead of it are blank.
+Take two right records in the same state, (t1, r1) and (t2, r2), and
+let D = r1 - (the leftmost head position over [t1, t2]).  If
+tape[r1-D .. r1] at t1 equals tape[r2-D .. r2] at t2, the run from t2
+repeats the run from t1 shifted by s = r2 - r1 with period p = t2 - t1:
+it reads only shifted copies of the cells the first stretch read.  It
+never halts and never repeats a configuration.  Left records mirror
+this.  Only consecutive records in one state are compared, so a cycle
+whose period holds two records in a state with different cells behind
+them goes unproven and is recorded step by step as before.
+
+Once a cycle is proven the run stops recording and coasts: each whole
+period lays one more copy of the |s| cells behind the window and
+carries the window s cells on, and the lead-in and the remainder of a
+slice go through the plain kernel.  The outcome is still
+the BudgetExceeded the recording loop would have reached, at the same
+step and with the same configuration, because the verdict's contract
+has no "never halts" case.  ``replay_verify`` never relies on the
+proof: it steps every claim from the start.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable
 
 from .machine import (
@@ -181,10 +204,14 @@ class OracleRun(PlainRun):
 
     ``advance(n)`` executes at most n steps and returns the outcome as
     soon as one is decided, else None.  Once decided, the outcome is
-    sticky.  ``history_len`` counts recorded configurations; after s
-    executed steps with no repetition it is exactly s + 1 (the initial
-    configuration is recorded before step 0).  Steps go through
-    ``advance`` only: the inherited ``execute`` skips the fingerprint.
+    sticky.  ``history_len`` counts the configurations the history
+    accounts for: after s executed steps with no repetition it is
+    exactly s + 1 (the initial configuration is recorded before step 0),
+    and ``max_history`` caps it.  That holds after a translated cycle is
+    proven too, when the run stops storing fingerprints but still counts
+    every step against the cap.  ``translation`` is the proven cycle's
+    witness.  Steps go through ``advance`` only: the inherited
+    ``execute`` skips the fingerprint.
     """
 
     def __init__(
@@ -204,10 +231,26 @@ class OracleRun(PlainRun):
         self._hash = h
         # fingerprint -> first step index, or list of step indices when
         # distinct configurations happen to share a fingerprint
-        self._hist: dict[int, int | list[int]] = {h: 0}
+        self._hist: dict[int, int | list[int]] | None = {h: 0}
         self.history_len = 1
+        # lo and hi start at the input's ends, so records start past the
+        # input and every cell ahead of one is blank.  low (high) is the
+        # leftmost (rightmost) head position since the last right (left)
+        # record.
+        ends = [self.head, *self.tape]
+        self._lo, self._hi = min(ends), max(ends)
+        self._low = self._high = self.head
+        # per direction: state -> [step, cell, depth, window], see _record
+        self._records: tuple[dict[int, list], dict[int, list]] | None = ({}, {})
+        # first record step, period, shift, depth of a proven cycle
+        self._cycle: tuple[int, int, int, int] | None = None
         if max_history is not None and self.history_len > max_history:
             self.outcome = BudgetExceeded(0, self.snapshot(), history_capped=True)
+
+    @property
+    def translation(self) -> tuple[int, int, int] | None:
+        """(first record step, period, shift) of the proven translated cycle, or None."""
+        return None if self._cycle is None else self._cycle[:3]
 
     def _confirmed_first_index(self, bucket: int | list[int]) -> int | None:
         """Re-simulate to weed fingerprint collisions out of a hit.
@@ -225,8 +268,15 @@ class OracleRun(PlainRun):
         return None
 
     def advance(self, n: int) -> RunOutcome | None:
-        if self.outcome is not None:
-            return self.outcome
+        if self.outcome is None and self._cycle is None:
+            n -= self._observe(n)
+        if self.outcome is None and self._cycle is not None:
+            self._coast(n)
+        return self.outcome
+
+    def _observe(self, n: int) -> int:
+        """The recording loop: at most n steps, stopping early at an
+        outcome or at a proven translated cycle.  Returns the steps run."""
         table = self._table
         tape = self.tape
         hist = self._hist
@@ -235,14 +285,16 @@ class OracleRun(PlainRun):
         state = self.state
         head = self.head
         h = self._hash
-        t = self.steps
-        outcome: RunOutcome | None = None
+        t = start = self.steps
+        lo, hi, low, high = self._lo, self._hi, self._low, self._high
+        rights, lefts = self._records
+        recorded = 1
         for _ in range(n):
             scanned = tape.get(head, 0)
             rule = table.get(state * m + scanned)
             if rule is None:
-                self.state, self.head, self._hash, self.steps = state, head, h, t
-                outcome = Halted(t, self.snapshot())
+                self.state, self.head, self.steps = state, head, t
+                self.outcome = Halted(t, self.snapshot())
                 break
             write, move, nxt = rule
             if write != scanned:
@@ -262,10 +314,11 @@ class OracleRun(PlainRun):
             t += 1
             prev = hist.get(h)
             if prev is not None:
-                self.state, self.head, self._hash, self.steps = state, head, h, t
+                self.state, self.head, self.steps = state, head, t
                 first = self._confirmed_first_index(prev)
                 if first is not None:
-                    outcome = LoopDetected(first, t - first)
+                    self.outcome = LoopDetected(first, t - first)
+                    recorded = 0  # the repeat is not a new configuration
                     break
                 if isinstance(prev, int):
                     hist[h] = [prev, t]
@@ -273,15 +326,106 @@ class OracleRun(PlainRun):
                     prev.append(t)
             else:
                 hist[h] = t
-            self.history_len += 1
-            if cap is not None and self.history_len > cap:
-                self.state, self.head, self._hash, self.steps = state, head, h, t
-                outcome = BudgetExceeded(t, self.snapshot(), history_capped=True)
+            # t < cap held before this step, so this is the first step
+            # whose configuration takes the history past its cap
+            if t == cap:
+                self.state, self.head, self.steps = state, head, t
+                self.outcome = BudgetExceeded(t, self.snapshot(), history_capped=True)
                 break
+            if head > high:
+                high = head
+                if head > hi:
+                    hi = head
+                    if self._record(rights, t, head, state, low, 1):
+                        break
+                    low = head
+            elif head < low:
+                low = head
+                if head < lo:
+                    lo = head
+                    if self._record(lefts, t, head, state, high, -1):
+                        break
+                    high = head
         self.state, self.head, self._hash, self.steps = state, head, h, t
-        if outcome is not None:
-            self.outcome = outcome
-        return outcome
+        self._lo, self._hi, self._low, self._high = lo, hi, low, high
+        self.history_len = t + recorded
+        if self._cycle is not None:
+            self._hist = self._records = None
+        return t - start
+
+    def _record(self, records: dict[int, list], t: int, head: int, state: int, far: int, d: int) -> bool:
+        """Note a record toward d (1 right, -1 left); True once it proves a cycle.
+
+        ``far`` is as far back as the head went since the previous
+        record toward d.  Each state's entry holds its last record's
+        step and cell, how far the head has fallen back behind that cell
+        since, and the cells behind it at the time, nearest first.  That
+        window is as long as the depth its own record measured, and a
+        cycle is tested only when it covers the new depth.
+        """
+        for entry in records.values():
+            back = d * (entry[1] - far)
+            if back > entry[2]:
+                entry[2] = back
+        entry = records.get(state)
+        depth = 0 if entry is None else entry[2]
+        tape = self.tape
+        behind = tuple(tape.get(head - d * i, 0) for i in range(1, depth + 1))
+        if entry is not None and depth <= len(entry[3]) and entry[3][:depth] == behind:
+            self._cycle = (entry[0], t - entry[0], head - entry[1], depth)
+            return True
+        records[state] = [t, head, 0, behind]
+        return False
+
+    def _coast(self, n: int) -> None:
+        """Run up to n steps of the proven cycle without recording.
+
+        Whole periods from a step aligned with the proving records go
+        through ``_jump``; the lead-in and the remainder go through the
+        plain kernel, which cannot halt here.  The history cap still
+        stops the run at step ``max_history``.
+        """
+        first, period, _, _ = self._cycle
+        target = self.steps + max(n, 0)
+        cap = self.max_history
+        capped = cap is not None and target >= cap
+        if capped:
+            target = cap
+        lead = (first - self.steps) % period
+        if lead <= target - self.steps:
+            self.execute(lead)
+            self._jump((target - self.steps) // period)
+        self.execute(target - self.steps)
+        self.history_len = self.steps + 1
+        if capped:
+            self.outcome = BudgetExceeded(self.steps, self.snapshot(), history_capped=True)
+
+    def _jump(self, k: int) -> None:
+        """Skip k whole periods from an aligned step.
+
+        The head is on a record cell.  Behind it lie the window (the
+        depth's cells and the head's own) and, behind that, a block of
+        |shift| cells; everything ahead is blank.  Each period lays one
+        more copy of the block and carries the window on by the shift.
+        """
+        if k <= 0:
+            return
+        _, period, shift, depth = self._cycle
+        d = 1 if shift > 0 else -1
+        width = shift * d
+        tape = self.tape
+        span = width + depth + 1
+        base = self.head - d * (span - 1)
+        cells = [tape.pop(base + d * i, 0) for i in range(span)]
+        window = base + d * (k + 1) * width
+        for i, sym in enumerate(cells[:width]):
+            if sym:
+                tape.update(zip(range(base + d * i, window + d * i, d * width), repeat(sym)))
+        for i, sym in enumerate(cells[width:]):
+            if sym:
+                tape[window + d * i] = sym
+        self.head += k * shift
+        self.steps += k * period
 
 
 def run(machine: Machine, input_symbols: Iterable[int] = (), budget: int = 10_000) -> Halted | BudgetExceeded:

@@ -33,6 +33,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 
+# The deepest a term may nest constructors.  ``arity`` enforces it on
+# every term, parsed or built in code, before any evaluator walks it, so
+# the arity check and the evaluators recurse far inside the
+# interpreter's recursion limit.  The parser counts the same way.
+MAX_TERM_DEPTH = 200
+
+
 class RecExpr:
     """Base class for expression nodes; subclasses are frozen dataclasses."""
 
@@ -114,13 +121,17 @@ def arity(expr: RecExpr) -> int:
     """Number of arguments ``expr`` takes, validating the whole term.
 
     Raises ArityError naming the offending subterm on any mismatch:
-    projection index out of range, composition width disagreement, or a
-    step function whose arity is not base + 2.
+    projection index out of range, composition width disagreement, a
+    step function whose arity is not base + 2, or constructors nested
+    more than ``MAX_TERM_DEPTH`` deep.
     """
-    return _arity(expr, "term")
+    return _arity(expr, "term", 1)
 
 
-def _arity(expr: RecExpr, path: str) -> int:
+def _arity(expr: RecExpr, path: str, depth: int) -> int:
+    if depth > MAX_TERM_DEPTH:
+        raise ArityError(path, f"term nests deeper than {MAX_TERM_DEPTH}")
+    depth += 1
     t = type(expr)
     if t is Zero or t is Succ:
         return 1
@@ -131,26 +142,26 @@ def _arity(expr: RecExpr, path: str) -> int:
     if t is Compose:
         if not expr.inners:
             raise ArityError(path, "compose needs at least one inner function")
-        outer = _arity(expr.outer, path + ".outer")
+        outer = _arity(expr.outer, path + ".outer", depth)
         if outer != len(expr.inners):
             raise ArityError(
                 path,
                 f"outer arity {outer} does not match {len(expr.inners)} inner functions",
             )
-        widths = [_arity(g, f"{path}.inners[{j}]") for j, g in enumerate(expr.inners)]
+        widths = [_arity(g, f"{path}.inners[{j}]", depth) for j, g in enumerate(expr.inners)]
         if len(set(widths)) != 1:
             raise ArityError(path, f"inner functions disagree on arity: {widths}")
         return widths[0]
     if t is PrimRec:
-        base = _arity(expr.base, path + ".base")
-        step_n = _arity(expr.step, path + ".step")
+        base = _arity(expr.base, path + ".base", depth)
+        step_n = _arity(expr.step, path + ".step", depth)
         if step_n != base + 2:
             raise ArityError(
                 path, f"step arity {step_n} must be base arity {base} plus 2"
             )
         return base + 1
     if t is Mu:
-        body = _arity(expr.body, path + ".body")
+        body = _arity(expr.body, path + ".body", depth)
         return body - 1
     raise ArityError(path, f"unknown expression node {expr!r}")
 

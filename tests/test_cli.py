@@ -126,6 +126,20 @@ def test_eval_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_non_ascii_digits_are_usage_errors(tmp_path, capsys):
+    superscript = tmp_path / "super.rf"
+    superscript.write_text("def g = proj \u00b2 1\n", encoding="utf-8")
+    assert main(["eval", "--program", str(superscript), "--name", "g", "--args", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1, column 14: ") and "unexpected character" in err
+    for value in ("\u00b2", "1" * 5000):
+        assert main(["classify", "--states", "1", "--symbols", "2", "--input", value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --input must be comma-separated naturals, got ")
+    assert main(["eval", "--program", f"{FIXTURES}/find_zero.rf", "--name", "g", "--args", "\u00b2"]) == 2
+    assert "--args must be comma-separated naturals" in capsys.readouterr().err
+
+
 def test_demo_falsify_reports_the_ladder(capsys):
     code = main(["demo", "falsify", "--budgets", "10,50"])
     captured = capsys.readouterr()

@@ -15,6 +15,7 @@ from haltlab.dsl import (
     format_program,
     format_term,
     load_program,
+    parse_natural,
     parse_program,
 )
 from haltlab.machine import LEFT, RIGHT, Machine
@@ -132,6 +133,29 @@ def test_term_nesting_is_bounded_with_a_located_diagnostic():
     top = prog.functions[f"f{MAX_TERM_DEPTH - 1}"]
     assert evaluate(top, (0,), 10_000) == MAX_TERM_DEPTH - 1
     assert parse_program(format_program(prog)) == prog
+
+
+def test_numbers_are_ascii_digits():
+    # str.isdigit takes "\u00b2", which int rejects; it must be a located ParseError.
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        parse_program("def g = proj \u00b2 1")
+    assert (err.value.line, err.value.col) == (1, 14)
+    with pytest.raises(ParseError, match="malformed header field") as err:
+        parse_program("states=\u00b2 alphabet=2 start=0")
+    assert (err.value.line, err.value.col) == (1, 1)
+    with pytest.raises(ParseError, match="must be naturals") as err:
+        parse_program("states=1 alphabet=2 start=0\n0 \u00b2 -> 1 R 0\n")
+    assert err.value.line == 2
+    # Past the interpreter's int conversion limit is a ParseError too.
+    with pytest.raises(ParseError, match="too many digits") as err:
+        parse_program("def g = proj " + "1" * 5000 + " 1")
+    assert (err.value.line, err.value.col) == (1, 14)
+    with pytest.raises(ParseError, match="malformed header field"):
+        parse_program("states=" + "1" * 5000 + " alphabet=2 start=0")
+
+    assert parse_natural("0042") == 42
+    for text in ("", "\u00b2", "\u0663", "+4", "-3", " 4", "4.0", "1" * 5000):
+        assert parse_natural(text) is None
 
 
 def test_bad_projection_is_reported_with_the_definition_name():

@@ -293,7 +293,7 @@ def test_fixture_args_must_be_naturals(tmp_path):
     head = "g=g.rf\nentry=g\nmachine=m.tm\nquantum=5\nbudget=20\nmax_cert_size=3\n"
     task.write_text(head + "args = 4\n", encoding="utf-8")
     assert load_fixture(task).task.fixed_args == (4,)
-    for value in ("-3", "x", "+4", "\u00b2", "4.0"):
+    for value in ("-3", "x", "+4", "\u00b2", "4.0", "1" * 5000):
         task.write_text(head + f"args = {value}\n", encoding="utf-8")
         with pytest.raises(FixtureError, match=r"fixed\.task: args entry must be a natural"):
             load_fixture(task)

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from haltlab import oracle
 from haltlab.machine import LEFT, RIGHT, InstantaneousDescription, Machine, initial_id, step
 from haltlab.oracle import (
     BudgetExceeded,
     Halted,
     LoopDetected,
     OracleRun,
+    PlainRun,
     replay_verify,
     run,
     run_with_oracle,
@@ -220,3 +222,135 @@ def test_plain_run_matches_the_reference_step(data):
         halts = step(machine, desc) is None
         expected = Halted(budget, desc) if halts else BudgetExceeded(budget, desc)
     assert run(machine, tape, budget) == expected
+
+
+# --- translated cycles ------------------------------------------------------
+
+
+def shift_two_cycler() -> Machine:
+    """A 2x2 sweep member: period 6, shift +2, falling back 2 cells behind each record."""
+    return Machine(
+        2,
+        2,
+        {(0, 0): (1, RIGHT, 1), (0, 1): (0, LEFT, 1), (1, 0): (1, LEFT, 0), (1, 1): (1, RIGHT, 0)},
+    )
+
+
+def left_cycler() -> Machine:
+    """A 2x2 sweep member: period 5, shift -1, reaching 2 cells back behind each record."""
+    return Machine(
+        2,
+        2,
+        {(0, 0): (0, LEFT, 1), (0, 1): (1, RIGHT, 1), (1, 0): (1, RIGHT, 0), (1, 1): (1, LEFT, 1)},
+    )
+
+
+def test_right_runner_coasts_to_its_closed_form():
+    before = len(oracle._Z_HEAD)
+    orun = OracleRun(runner(), ())
+    assert orun.advance(10**6) is None
+    assert orun.translation == (1, 1, 1)
+    assert (orun.state, orun.head, orun.steps, orun.history_len) == (0, 10**6, 10**6, 10**6 + 1)
+    assert orun.tape == dict.fromkeys(range(10**6), 1)
+    # Coasting records nothing, so the fingerprint tables stop growing.
+    assert len(oracle._Z_HEAD) - before < 10
+    closed = InstantaneousDescription(0, 10**6, tuple((cell, 1) for cell in range(10**6)))
+    assert run_with_oracle(runner(), (), budget=10**6) == BudgetExceeded(10**6, closed)
+
+
+@pytest.mark.parametrize(
+    "machine, witness",
+    [(shift_two_cycler(), (9, 6, 2)), (left_cycler(), (11, 5, -1))],
+)
+def test_translated_cyclers_are_proven_and_skipped_exactly(machine, witness):
+    orun = OracleRun(machine, ())
+    assert orun.advance(20_000) is None
+    assert orun.translation == witness
+    plain = PlainRun(machine, ())
+    assert not plain.execute(20_000)
+    assert (orun.state, orun.head, orun.tape) == (plain.state, plain.head, plain.tape)
+    assert orun.history_len == 20_001
+    assert run_with_oracle(machine, (), budget=20_000) == run(machine, (), budget=20_000)
+
+
+def test_records_start_only_past_the_input():
+    # The runner halts on the mark at cell 5; records inside the input
+    # would wrongly prove it a cycler before it gets there.
+    mark_halts = Machine(1, 2, {(0, 0): (1, RIGHT, 0)})
+    stop = run_with_oracle(mark_halts, (0, 0, 0, 0, 0, 1), budget=100)
+    assert stop == run(mark_halts, (0, 0, 0, 0, 0, 1), budget=100)
+    assert isinstance(stop, Halted) and stop.steps == 5
+
+    flipper = Machine(1, 2, {(0, 0): (1, RIGHT, 0), (0, 1): (0, RIGHT, 0)})
+    orun = OracleRun(flipper, (1, 0, 1, 1))
+    assert orun.advance(500) is None
+    assert orun.translation == (4, 1, 1)  # the first record lands on cell 4
+    assert orun.snapshot() == run(flipper, (1, 0, 1, 1), budget=500).last_id
+
+
+def test_records_that_differ_behind_the_head_prove_nothing():
+    # Each record in state 0 looks back one cell, where the marks
+    # alternate 2, 1, 2, ...: consecutive records in that state never
+    # match, and taking them for a cycle would lay the wrong marks.
+    alternator = Machine(
+        4,
+        3,
+        {
+            (0, 0): (0, LEFT, 1),
+            (1, 0): (1, RIGHT, 2),
+            (1, 1): (1, RIGHT, 2),
+            (1, 2): (2, RIGHT, 3),
+            (2, 0): (2, RIGHT, 0),
+            (3, 0): (1, RIGHT, 0),
+        },
+    )
+    orun = OracleRun(alternator, ())
+    for _ in range(30):
+        assert orun.advance(20) is None
+    assert orun.snapshot() == run(alternator, (), budget=600).last_id
+
+
+def test_history_cap_mid_period_in_one_step_slices():
+    machine = left_cycler()
+    cap = 40  # 29 steps past the first record: 5 periods and 4 steps
+    orun = OracleRun(machine, (), max_history=cap)
+    plain = PlainRun(machine, ())
+    outcome = None
+    while outcome is None:
+        outcome = orun.advance(1)
+        plain.execute(1)
+        assert (orun.state, orun.head, orun.tape, orun.steps) == (plain.state, plain.head, plain.tape, plain.steps)
+    assert orun.translation == (11, 5, -1)
+    assert outcome == BudgetExceeded(cap, run(machine, (), cap).last_id, history_capped=True)
+    assert orun.advance(1) is outcome and orun.steps == cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_sliced_oracle_tracks_the_plain_kernel(data):
+    """Recording or coasting, every slice ends where the plain kernel does."""
+    machine = data.draw(machines(max_states=4))
+    symbols = st.integers(0, machine.alphabet_size - 1)
+    tape = tuple(data.draw(st.lists(symbols, min_size=1, max_size=6)))
+    cap = data.draw(st.none() | st.integers(1, 400))
+    slices = data.draw(st.lists(st.integers(1, 50), max_size=30))
+    orun = OracleRun(machine, tape, max_history=cap)
+    plain = PlainRun(machine, tape)
+    for n in slices:
+        outcome = orun.advance(n)
+        halted = plain.execute(orun.steps - plain.steps)
+        assert (orun.state, orun.head, orun.tape, orun.steps) == (plain.state, plain.head, plain.tape, plain.steps)
+        if isinstance(outcome, LoopDetected):
+            assert orun.history_len == orun.steps
+            break
+        assert orun.history_len == orun.steps + 1
+        if isinstance(outcome, Halted):
+            assert halted or plain.at_halt()
+            break
+        assert not halted
+        if outcome is not None:
+            # the cap can fall on the step where the machine halts
+            ref = run(machine, tape, cap)
+            last = ref.final_id if isinstance(ref, Halted) else ref.last_id
+            assert outcome == BudgetExceeded(cap, last, history_capped=True)
+            break

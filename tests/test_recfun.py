@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from haltlab.recfun import (
     ADD,
     EQ_CHAR,
+    MAX_TERM_DEPTH,
     MONUS,
     MUL,
     PRED,
@@ -66,6 +67,33 @@ def test_arity_rejects_malformed_terms():
     with pytest.raises(ArityError) as err:
         arity(Compose(SUCC, (Compose(SUCC, (Proj(4, 3),)),)))
     assert "inners" in err.value.path
+
+
+def test_terms_built_in_code_are_held_to_the_nesting_bound():
+    def tower(depth):
+        term = Zero()
+        for _ in range(depth - 1):
+            term = Compose(Succ(), (term,))
+        return term
+
+    # At the bound: MAX_TERM_DEPTH constructors down the outermost spine.
+    at_bound = tower(MAX_TERM_DEPTH)
+    assert arity(at_bound) == 1
+    assert evaluate(at_bound, (0,), GENEROUS) == MAX_TERM_DEPTH - 1
+    assert evaluate_costed(at_bound, (0,), GENEROUS) == (MAX_TERM_DEPTH - 1, 2 * MAX_TERM_DEPTH - 1)
+    assert oracle_evaluate(at_bound, (0,), GENEROUS) == MAX_TERM_DEPTH - 1
+
+    deepest = "term" + ".inners[0]" * (MAX_TERM_DEPTH - 1) + ".outer"
+    for depth in (MAX_TERM_DEPTH + 1, 2000):
+        for check in (
+            arity,
+            lambda t: evaluate(t, (0,), GENEROUS),
+            lambda t: evaluate_costed(t, (0,), GENEROUS),
+            lambda t: oracle_evaluate(t, (0,), GENEROUS),
+        ):
+            with pytest.raises(ArityError, match=f"deeper than {MAX_TERM_DEPTH}") as err:
+                check(tower(depth))
+            assert err.value.path == deepest
 
 
 def test_wrong_argument_count_is_an_arity_error():
