@@ -365,6 +365,17 @@ def parse_program(text: str) -> Program:
 
 
 def format_term(expr: RecExpr) -> str:
+    """Canonical text for one term.
+
+    The term is validated with ``arity`` first, so one the parser could
+    not read back, such as a term nested deeper than ``MAX_TERM_DEPTH``,
+    raises ArityError naming the offending path.
+    """
+    arity(expr)
+    return _format(expr)
+
+
+def _format(expr: RecExpr) -> str:
     t = type(expr)
     if t is Zero:
         return "zero"
@@ -377,15 +388,13 @@ def format_term(expr: RecExpr) -> str:
         return f"compose {_wrap(expr.outer)} ({inner})"
     if t is PrimRec:
         return f"primrec {_wrap(expr.base)} {_wrap(expr.step)}"
-    if t is Mu:
-        return f"mu {_wrap(expr.body)}"
-    raise ValueError(f"unknown expression node {expr!r}")
+    return f"mu {_wrap(expr.body)}"
 
 
 def _wrap(expr: RecExpr) -> str:
     if type(expr) in (Zero, Succ):
-        return format_term(expr)
-    return f"({format_term(expr)})"
+        return _format(expr)
+    return f"({_format(expr)})"
 
 
 def format_machine(machine: Machine) -> str:

@@ -19,6 +19,16 @@ over T2 over T3.  This is cooperative time-slicing in one thread; no
 operating-system parallelism is involved, and two runs of the same task
 are step-for-step identical.
 
+A candidate's evaluation cost does not depend on the fuel offered, so
+T1 may evaluate ahead of its grant: it keeps a finished result, and the
+largest fuel known to be too little, across rounds instead of starting
+an unfinished candidate again from scratch.  It still commits a result
+in exactly the round where the fuel granted so far covers its cost,
+so verdicts and counters are those of a search that only ever spends
+its grant.  Failed attempts on one candidate at least double their
+fuel and never exceed what T1 can still be granted, so the fuel T1
+evaluates (``t1_evaluated``) stays within four times ``t1_granted``.
+
 The verdict is fourfold.  Found, SelfTerminated and Proved mirror the
 three ways a searcher can win; Exhausted reports that the round budget
 ran out with no winner.  The fourth outcome is not decoration: the
@@ -132,7 +142,8 @@ class TrioRun:
     handed to each searcher (quantum per round each, whether or not the
     searcher still had work), so fairness is checkable after the fact.
     ``t1_spent``, ``t2_steps`` and ``t3_checked`` record what was
-    actually used.
+    actually used; ``t1_evaluated`` is the fuel T1's evaluations
+    consumed, lookahead and unfinished attempts included.
     """
 
     def __init__(self, task: TrioTask) -> None:
@@ -141,7 +152,12 @@ class TrioRun:
         self.rounds_run = 0
         self.t1_granted = 0
         self.t1_spent = 0
+        self.t1_evaluated = 0
         self._t1_candidate = 0
+        # The largest fuel known to be too little for the current
+        # candidate, and its finished (value, cost) once known.
+        self._t1_short = 0
+        self._t1_pending: tuple[int, int] | None = None
         self.t2_granted = 0
         self._t2 = OracleRun(task.t2_machine, task.t2_input, max_history=task.t2_history_cap)
         self.t3_granted = 0
@@ -157,18 +173,35 @@ class TrioRun:
         return self._t2.steps
 
     def _advance_t1(self) -> Found | None:
-        self.t1_granted += self.task.quantum
+        quantum = self.task.quantum
+        self.t1_granted += quantum
         available = self.t1_granted - self.t1_spent
         g = self.task.g_body
         fixed = self.task.fixed_args
         while available > 0:
-            value, cost = evaluate_costed(g, fixed + (self._t1_candidate,), available)
-            if value is None:
-                # Candidate unfinished; the committed meter stands.  The
-                # next round evaluates this candidate again from scratch
-                # with the larger allowance; the fuel spent here is not
-                # counted in t1_spent.
+            if self._t1_pending is None:
+                short = self._t1_short
+                if available <= short:
+                    return None
+                # Evaluate ahead of the grant, doubling the fuel of the
+                # last failure, but never past the most T1 can ever hold.
+                # Failed fuels at least double and stay below twice what
+                # is available, so t1_evaluated stays within 4 * t1_granted.
+                reach = available + quantum * (self.task.budget - self.rounds_run)
+                fuel = min(reach, max(available, 2 * short))
+                value, cost = evaluate_costed(g, fixed + (self._t1_candidate,), fuel)
+                self.t1_evaluated += cost
+                if value is None:
+                    self._t1_short = fuel
+                    return None
+                self._t1_pending = (value, cost)
+            value, cost = self._t1_pending
+            # Commit exactly when the granted fuel covers the cost, the
+            # round an evaluation with only that fuel would have finished.
+            if cost > available:
                 return None
+            self._t1_pending = None
+            self._t1_short = 0
             self.t1_spent += cost
             available -= cost
             if value == 0:
@@ -299,6 +332,7 @@ def classify_corpus_entry(task: TrioTask, label: str = "task") -> TrioRecord:
         t3_granted=runner.t3_granted,
         counters={
             "t1_spent": runner.t1_spent,
+            "t1_evaluated": runner.t1_evaluated,
             "t2_steps": runner.t2_steps,
             "t3_checked": runner.t3_checked,
         },

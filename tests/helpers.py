@@ -14,7 +14,8 @@ import random
 from hypothesis import strategies as st
 
 from haltlab.machine import LEFT, RIGHT, Machine
-from haltlab.recfun import Compose, Mu, PrimRec, Proj, RecExpr, Succ, Zero
+from haltlab.recfun import Compose, Mu, PrimRec, Proj, RecExpr, Succ, Zero, evaluate_costed
+from haltlab.trio import Found, TrioRun
 
 
 def gen_leaf(rng: random.Random, n_args: int) -> RecExpr:
@@ -97,6 +98,16 @@ def confined_machine(
     return Machine(cells, alphabet, table)
 
 
+def shuttle_machine(k: int) -> Machine:
+    """A machine that walks k cells right and k cells back, forever.
+
+    It writes nothing, so it returns to its start configuration after
+    exactly 2k steps: a loop the oracle sees late, unlike the bouncer's.
+    """
+    n = 2 * k
+    return Machine(n, 2, {(s, 0): (0, RIGHT if s < k else LEFT, (s + 1) % n) for s in range(n)})
+
+
 @st.composite
 def machines(draw, max_states: int = 3, max_symbols: int = 3):
     """Hypothesis strategy for small valid machines."""
@@ -111,3 +122,30 @@ def machines(draw, max_states: int = 3, max_symbols: int = 3):
                 nxt = draw(st.integers(0, n - 1))
                 table[(state, symbol)] = (write, move, nxt)
     return Machine(n, m, table)
+
+
+class RestartingTrioRun(TrioRun):
+    """The trio with T1 as first specified: evaluate only within the grant.
+
+    Each round T1 evaluates the current candidate with exactly the fuel
+    granted and not yet spent, and a candidate that does not finish is
+    evaluated again from scratch next round with the larger allowance.
+    ``TrioRun`` must match this step for step in every counter but
+    ``t1_evaluated``, which this copy leaves at 0.
+    """
+
+    def _advance_t1(self) -> Found | None:
+        self.t1_granted += self.task.quantum
+        available = self.t1_granted - self.t1_spent
+        while available > 0:
+            value, cost = evaluate_costed(
+                self.task.g_body, self.task.fixed_args + (self._t1_candidate,), available
+            )
+            if value is None:
+                return None
+            self.t1_spent += cost
+            available -= cost
+            if value == 0:
+                return Found(self._t1_candidate, self.t1_spent)
+            self._t1_candidate += 1
+        return None

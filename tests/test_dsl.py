@@ -19,7 +19,7 @@ from haltlab.dsl import (
     parse_program,
 )
 from haltlab.machine import LEFT, RIGHT, Machine
-from haltlab.recfun import MONUS, Compose, Proj, Succ, Zero, const_expr, evaluate
+from haltlab.recfun import MONUS, ArityError, Compose, Proj, Succ, Zero, const_expr, evaluate
 from tests.helpers import gen_expr, gen_machine
 
 FIXTURES = "fixtures/trio"
@@ -133,6 +133,22 @@ def test_term_nesting_is_bounded_with_a_located_diagnostic():
     top = prog.functions[f"f{MAX_TERM_DEPTH - 1}"]
     assert evaluate(top, (0,), 10_000) == MAX_TERM_DEPTH - 1
     assert parse_program(format_program(prog)) == prog
+
+
+def test_printing_holds_code_built_terms_to_the_nesting_bound():
+    def tower(depth):
+        term = Zero()
+        for _ in range(depth - 1):
+            term = Compose(Succ(), (term,))
+        return term
+
+    at_bound = Program(functions={"g": tower(MAX_TERM_DEPTH)})
+    assert parse_program(format_program(at_bound)) == at_bound
+    deepest = "term" + ".inners[0]" * (MAX_TERM_DEPTH - 1) + ".outer"
+    for show in (format_term, lambda t: format_program(Program(functions={"g": t}))):
+        with pytest.raises(ArityError, match=f"deeper than {MAX_TERM_DEPTH}") as err:
+            show(tower(2000))
+        assert err.value.path == deepest
 
 
 def test_numbers_are_ascii_digits():

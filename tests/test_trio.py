@@ -13,12 +13,15 @@ import pytest
 from haltlab.oracle import LoopDetected
 from haltlab.proofs import Certificate
 from haltlab.recfun import (
+    ADD,
     MONUS,
     SUCC,
     Compose,
     FuelExhausted,
+    Mu,
     Proj,
     const_expr,
+    evaluate_costed,
     oracle_evaluate,
 )
 from haltlab.trio import (
@@ -34,8 +37,8 @@ from haltlab.trio import (
     extend,
     run_trio,
 )
-from haltlab.experiments import bouncer, right_runner
-from tests.helpers import gen_expr
+from haltlab.experiments import bouncer, load_fixture, right_runner
+from tests.helpers import RestartingTrioRun, gen_expr, shuttle_machine
 
 THREE_MINUS_Y = Compose(MONUS, (const_expr(3, 1), Proj(1, 1)))
 SUCC_OF_Y = Compose(SUCC, (Proj(1, 1),))
@@ -45,6 +48,8 @@ OPAQUE_ONE = Compose(
     MONUS,
     (const_expr(1, 1), Compose(MONUS, (Proj(1, 1), Proj(1, 1)))),
 )
+# mu z. z + 1 = 0: diverges at every argument.
+DIVERGES = Mu(Compose(SUCC, (Proj(2, 2),)))
 
 
 def make_task(g, machine, quantum, budget, max_cert_size=3):
@@ -183,6 +188,8 @@ def test_corpus_entry_records_verdict_audit_and_counters():
     assert record.rounds_run == 1
     # T1 resolved in round one, so the proof searcher was never polled
     assert record.counters["t3_checked"] == 0
+    # every candidate finished within its first evaluation
+    assert record.counters["t1_evaluated"] == record.counters["t1_spent"] == 100
 
     proved = classify_corpus_entry(
         make_task(SUCC_OF_Y, right_runner(), quantum=5, budget=50), label="p"
@@ -225,8 +232,8 @@ def test_agreement_with_a_directly_computed_ground_truth():
                 break
         if truth == "stuck":
             continue  # the scan itself ran out of fuel; nothing to compare
-        # Modest budgets: a diverging candidate makes T1 redo its partial
-        # evaluation every round, so costs grow with budget squared.
+        # Modest budgets keep T1's evaluation work small: at most four
+        # times its grant of 500 * 60 fuel.
         task = make_task(g, right_runner(), quantum=500, budget=60)
         verdict = run_trio(task)
         if isinstance(verdict, Found):
@@ -241,3 +248,123 @@ def test_agreement_with_a_directly_computed_ground_truth():
             assert truth is None
             tested += 1
     assert tested >= 10  # the corpus actually exercises the claim
+
+
+def trio_counters(runner):
+    return (
+        runner.rounds_run,
+        runner.t1_granted,
+        runner.t2_granted,
+        runner.t3_granted,
+        runner.t1_spent,
+        runner.t2_steps,
+        runner.t3_checked,
+    )
+
+
+def test_shipped_fixtures_keep_their_timing():
+    """Rounds and every counter are pinned: lookahead in T1 must not move
+    the round in which any searcher finishes, nor what it is charged."""
+    pinned = {
+        "exhausted_budget": (60, 3000, 3000, 3000, 2920, 3000, 18),
+        "found_min_zero": (1, 100, 0, 0, 100, 0, 0),
+        "loop_self_termination": (1, 50, 50, 0, 34, 2, 0),
+        "proved_nonzero": (1, 50, 50, 50, 48, 50, 2),
+    }
+    for name, expected in pinned.items():
+        runner = TrioRun(load_fixture(f"fixtures/trio/{name}.task").task)
+        runner.run()
+        assert trio_counters(runner) == expected, name
+        assert runner.t1_evaluated <= 4 * runner.t1_granted, name
+
+
+# --- differential tests against the restarting value search ---------------
+
+
+def run_against_reference(task):
+    """Run the task both ways; everything observable must agree."""
+    runner = TrioRun(task)
+    reference = RestartingTrioRun(task)
+    verdict = runner.run()
+    assert verdict == reference.run(), task
+    assert trio_counters(runner) == trio_counters(reference), task
+    assert runner.t1_evaluated <= 4 * runner.t1_granted, task
+    return runner, verdict
+
+
+def random_task(rng, g, machine, max_quantum=60):
+    return TrioTask(
+        g_body=g,
+        fixed_args=(),
+        t2_machine=machine,
+        quantum=rng.randint(1, max_quantum),
+        budget=rng.randint(0, 80),
+        max_cert_size=rng.randint(0, 4),
+    )
+
+
+def test_lookahead_matches_the_restarting_search_on_random_tasks():
+    rng = random.Random(0x7210)
+    for _ in range(150):
+        g = DIVERGES if rng.random() < 0.15 else gen_expr(rng, 1, rng.randint(0, 4))
+        machine = bouncer() if rng.random() < 0.5 else right_runner()
+        run_against_reference(random_task(rng, g, machine))
+
+
+def test_lookahead_on_diverging_candidates():
+    for budget in (0, 1, 2, 3, 4, 5, 8, 9, 40):
+        task = make_task(DIVERGES, right_runner(), quantum=1, budget=budget)
+        runner, verdict = run_against_reference(task)
+        assert verdict == Exhausted(rounds=budget)
+        assert runner.t1_spent == 0
+    # Fuel 1, 2, 4, 8, 16, then capped at the 20 units T1 can ever hold;
+    # a search restarting each round would evaluate 1 + 2 + ... + 20.
+    runner, _ = run_against_reference(make_task(DIVERGES, right_runner(), quantum=1, budget=20))
+    assert runner.t1_evaluated == 1 + 2 + 4 + 8 + 16 + 20
+
+
+def test_lookahead_when_t2_or_t3_wins_with_a_result_pending():
+    """T1 has finished a candidate it may not commit yet when another
+    searcher wins; the early result must leave no trace."""
+    rng = random.Random(0x9E4D)
+    pending_wins = {SelfTerminated: 0, Proved: 0}
+    for _ in range(120):
+        g = gen_expr(rng, 1, rng.randint(0, 3))
+        # T2 wins late on a shuttle, after 2k steps.
+        shuttle = random_task(rng, g, shuttle_machine(rng.randint(1, 12)), max_quantum=3)
+        # T3 wins late: a sum with a successor-headed summand needs a
+        # certificate of two nodes, or three when summed once more.
+        s = Compose(SUCC, (gen_expr(rng, 1, rng.randint(0, 2)),))
+        summed = Compose(ADD, (g, s) if rng.random() < 0.5 else (s, g))
+        if rng.random() < 0.5:
+            summed = Compose(ADD, (gen_expr(rng, 1, 1), summed))
+        proof = random_task(rng, summed, right_runner(), max_quantum=3)
+        for task in (shuttle, proof):
+            runner, verdict = run_against_reference(task)
+            if type(verdict) in pending_wins and runner._t1_pending is not None:
+                pending_wins[type(verdict)] += 1
+    assert min(pending_wins.values()) >= 2, pending_wins
+
+
+def test_lookahead_when_a_cost_exceeds_what_t1_can_be_granted():
+    # 3 - y costs 11, 21, ... and quantum 5 for 6 rounds grants 30: the
+    # second candidate never fits in the 19 units left after the first.
+    task = make_task(THREE_MINUS_Y, right_runner(), quantum=5, budget=6)
+    runner, verdict = run_against_reference(task)
+    assert verdict == Exhausted(rounds=6)
+    assert runner.t1_spent == 11
+    # Candidate 0 fails at 5 and 10 and finishes within 20; candidate 1
+    # fails at 4, 9 and 18, and its last try stops at the 19 units in reach.
+    assert runner.t1_evaluated == 5 + 10 + 11 + 4 + 9 + 18 + 19
+
+    rng = random.Random(0x5EAC)
+    beyond = 0
+    for _ in range(100):
+        g = gen_expr(rng, 1, rng.randint(1, 4))
+        task = random_task(rng, g, right_runner(), max_quantum=20)
+        runner, verdict = run_against_reference(task)
+        reach = task.quantum * task.budget - runner.t1_spent
+        if isinstance(verdict, Exhausted) and reach > 0:
+            args = (runner._t1_candidate,)
+            beyond += evaluate_costed(g, args, reach)[0] is None
+    assert beyond >= 5
