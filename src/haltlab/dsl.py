@@ -14,8 +14,11 @@ name mentioned in a term refers to an earlier definition in the same
 file, which is inlined on the spot (so definitions cannot be cyclic and
 must precede their uses).  A term may nest constructors at most
 ``MAX_TERM_DEPTH`` deep, counting the constructors of every definition
-it inlines by name; parentheses that only group do not count.  ``#``
-starts a comment in both formats.
+it inlines by name; parentheses that only group do not count.  Nesting
+written out in the text is reported at the first constructor past the
+bound; nesting reached only through an inlined name is caught when the
+finished definition is checked with ``arity``, and reported at the
+definition's name.  ``#`` starts a comment in both formats.
 
 ``parse_program`` accepts either format, telling them apart by the
 ``states=`` header, and returns a Program; ``format_program`` prints a
@@ -141,8 +144,6 @@ class _Cursor:
     def __init__(self, tokens: list[_Token]) -> None:
         self.tokens = tokens
         self.pos = 0
-        # deepest constructor nesting reached in the current definition
-        self.deepest = 0
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -169,11 +170,7 @@ class _Cursor:
         return value
 
 
-# A definition maps to its term and the term's constructor nesting.
-_Env = dict[str, tuple[RecExpr, int]]
-
-
-def _parse_term(cur: _Cursor, env: _Env, depth: int) -> RecExpr:
+def _parse_term(cur: _Cursor, env: dict[str, RecExpr], depth: int) -> RecExpr:
     """A term ``depth`` constructors deep; grouping parentheses loop, not recurse."""
     opened = 0
     while cur.peek().kind == "punct" and cur.peek().text == "(":
@@ -185,15 +182,10 @@ def _parse_term(cur: _Cursor, env: _Env, depth: int) -> RecExpr:
     return term
 
 
-def _reach(cur: _Cursor, tok: _Token, depth: int) -> None:
+def _parse_constructor(cur: _Cursor, env: dict[str, RecExpr], depth: int) -> RecExpr:
+    tok = cur.next()
     if depth > MAX_TERM_DEPTH:
         raise ParseError(f"term nests deeper than {MAX_TERM_DEPTH}", tok.line, tok.col)
-    cur.deepest = max(cur.deepest, depth)
-
-
-def _parse_constructor(cur: _Cursor, env: _Env, depth: int) -> RecExpr:
-    tok = cur.next()
-    _reach(cur, tok, depth)
     if tok.kind != "word":
         raise ParseError("expected a term", tok.line, tok.col)
     word = tok.text
@@ -230,9 +222,7 @@ def _parse_constructor(cur: _Cursor, env: _Env, depth: int) -> RecExpr:
     if word in _RESERVED:
         raise ParseError(f"{word!r} cannot appear inside a term", tok.line, tok.col)
     if word in env:
-        term, nesting = env[word]
-        _reach(cur, tok, depth + nesting - 1)
-        return term
+        return env[word]
     raise ParseError(f"unknown name {word!r}", tok.line, tok.col)
 
 
@@ -253,7 +243,7 @@ def _parse_version(cur: _Cursor) -> None:
 def _parse_functions(text: str) -> dict[str, RecExpr]:
     cur = _Cursor(_tokenize(text))
     _parse_version(cur)
-    env: _Env = {}
+    env: dict[str, RecExpr] = {}
     while cur.peek().kind != "end":
         tok = cur.next()
         if tok.kind != "word" or tok.text != "def":
@@ -267,14 +257,13 @@ def _parse_functions(text: str) -> dict[str, RecExpr]:
         if name in env:
             raise ParseError(f"duplicate definition {name!r}", name_tok.line, name_tok.col)
         cur.expect_punct("=")
-        cur.deepest = 0
         term = _parse_term(cur, env, 1)
         try:
             arity(term)
         except ArityError as err:
             raise ParseError(f"in {name!r}: {err}", name_tok.line, name_tok.col) from None
-        env[name] = (term, cur.deepest)
-    return {name: term for name, (term, _) in env.items()}
+        env[name] = term
+    return env
 
 
 # --- the machine grammar ----------------------------------------------------

@@ -5,9 +5,10 @@ table over the given state and symbol counts, in one canonical order —
 and each machine is classified under the loop oracle from the blank tape
 (the usual convention for enumeration experiments; other inputs are a
 parameter away).  A run reads only the transitions it consults, so
-machines that agree on those share one oracle run: the sweep builds the
-tree-normal-form prefix tree of Brady (1983) lazily and runs each
-distinct consulted prefix once, while every verdict is still audited by
+machines that agree on those share one oracle run: the sweep walks the
+tree-normal-form prefix tree of Brady (1983) depth first, runs each
+distinct consulted prefix once, and writes every machine below a leaf
+straight to its canonical row, while every verdict is still audited by
 replay against its own machine.  Classification reports are plain CSV
 with a fixed schema and no timestamps, so two runs of the same
 experiment produce byte-identical files; wall-clock time lives only in
@@ -29,7 +30,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .dsl import ParseError, load_program, parse_natural
 from .machine import LEFT, Machine, RIGHT, Transition
@@ -43,7 +44,6 @@ from .oracle import (
     run,  # not called here; the benchmark tracer wraps experiments.run
     run_with_oracle,
 )
-from .recfun import arity
 from .trio import TrioRecord, TrioTask, UNDETERMINED, classify_corpus_entry
 
 # Refuse to enumerate beyond this many machines; desk scale means the
@@ -79,14 +79,11 @@ class MachineClass:
         return per_slot**slots
 
 
-def enumerate_class(mclass: MachineClass) -> Iterator[Machine]:
-    """Every machine in the class, in canonical order, start state 0.
-
-    Slots are ordered state-major then symbol; each slot cycles through
-    "absent" first, then (write, move, next state) lexicographically
-    with L before R.  The order is part of the report contract: row k of
-    a classification always names the same machine.
-    """
+def _slots_and_options(
+    mclass: MachineClass,
+) -> tuple[list[tuple[int, int]], list[Transition | None]]:
+    """The class's table slots in canonical order and the options each
+    slot cycles through, "absent" (None) first; refuses oversized classes."""
     if mclass.size > CLASS_SIZE_GUARD:
         raise ValueError(
             f"class holds {mclass.size} machines, beyond the guard of {CLASS_SIZE_GUARD}"
@@ -96,13 +93,25 @@ def enumerate_class(mclass: MachineClass) -> Iterator[Machine]:
         for state in range(mclass.state_count)
         for symbol in range(mclass.alphabet_size)
     ]
-    options: list[tuple[int, str, int] | None] = [None]
+    options: list[Transition | None] = [None]
     options += [
         (write, move, nxt)
         for write in range(mclass.alphabet_size)
         for move in (LEFT, RIGHT)
         for nxt in range(mclass.state_count)
     ]
+    return slots, options
+
+
+def enumerate_class(mclass: MachineClass) -> Iterator[Machine]:
+    """Every machine in the class, in canonical order, start state 0.
+
+    Slots are ordered state-major then symbol; each slot cycles through
+    "absent" first, then (write, move, next state) lexicographically
+    with L before R.  The order is part of the report contract: row k of
+    a classification always names the same machine.
+    """
+    slots, options = _slots_and_options(mclass)
     for assignment in product(options, repeat=len(slots)):
         table = {
             slot: rule for slot, rule in zip(slots, assignment) if rule is not None
@@ -181,51 +190,6 @@ def _outcome_tag(outcome: RunOutcome) -> str:
     return "budget_exceeded"
 
 
-Slot = tuple[int, int]
-
-
-@dataclass
-class _PrefixNode:
-    """A partial table in the lazily built prefix tree of a class sweep.
-
-    ``decided`` maps each slot fixed on the path from the root to its
-    rule, or None for absent.  Once explored, a node is either a leaf
-    holding the outcome every machine below it shares, or a branch on
-    ``slot`` whose children are keyed by the rule there (None: absent).
-    """
-
-    decided: dict[Slot, Transition | None]
-    outcome: RunOutcome | None = None
-    slot: Slot | None = None
-    children: dict[Transition | None, "_PrefixNode"] = field(default_factory=dict)
-
-
-def _explore(
-    mclass: MachineClass,
-    node: _PrefixNode,
-    input_symbols: tuple[int, ...],
-    budget: int,
-    history_cap: int | None,
-) -> None:
-    """One oracle run on the rules decided so far; makes ``node`` a leaf
-    or, if the run halted on a slot not yet decided, a branch on it.
-
-    The branch's "absent" child has the same table as ``node``, so it is
-    a leaf holding this very outcome, made without running again.
-    """
-    table = {slot: rule for slot, rule in node.decided.items() if rule is not None}
-    partial = Machine(mclass.state_count, mclass.alphabet_size, table)
-    outcome = run_with_oracle(partial, input_symbols, budget, history_cap)
-    if isinstance(outcome, Halted):
-        final = outcome.final_id
-        slot = (final.state, final.symbol_at(final.head))
-        if slot not in node.decided:
-            node.slot = slot
-            node.children[None] = _PrefixNode({**node.decided, slot: None}, outcome)
-            return
-    node.outcome = outcome
-
-
 def classify_all(
     mclass: MachineClass,
     budget: int = DEFAULT_BUDGET,
@@ -236,10 +200,15 @@ def classify_all(
 
     A deterministic run, its fingerprint confirmations and its final
     halt lookup read only the slots it consults, so every machine that
-    agrees on those slots gets the same outcome.  Machines are therefore
-    resolved through a prefix tree over partial tables, built on first
-    use: a node costs one oracle run on its decided rules, and a run
-    that halts on an undecided slot branches there.  The report's rows
+    agrees on those slots gets the same outcome.  The sweep therefore
+    walks the prefix tree over partial tables depth first: a node is a
+    choice of option index for some slots and costs one oracle run on
+    those rules.  A run that halts on an undecided slot branches there,
+    one child per option; the "absent" child has the node's own table,
+    so it reuses this outcome without running again.  Any other outcome
+    is a leaf shared by every choice of the undecided slots, and each of
+    those machines lands at its canonical index, the mixed-radix number
+    its option indices spell in enumeration order.  The report's rows
     share the leaves' outcome objects, and ``oracle_runs`` counts the
     runs made, one per distinct consulted prefix, not one per machine.
 
@@ -248,27 +217,42 @@ def classify_all(
     carry no audit flag.  Rows appear in enumeration order.
     """
     input_symbols = tuple(input_symbols)
-    root = _PrefixNode({})
+    slots, options = _slots_and_options(mclass)
+    position = {slot: k for k, slot in enumerate(slots)}
+    radix = len(options)
+    weights = [radix ** (len(slots) - 1 - k) for k in range(len(slots))]
+    rows: list = [None] * mclass.size
     runs = 0
-    rows = []
+
+    def build(chosen: Iterable[tuple[int, int]]) -> Machine:
+        """The machine with option d at slot k for each (k, d) chosen."""
+        table = {slots[k]: options[d] for k, d in chosen if d}
+        return Machine(mclass.state_count, mclass.alphabet_size, table)
+
+    def explore(decided: dict[int, int], outcome: RunOutcome | None) -> None:
+        nonlocal runs
+        if outcome is None:
+            partial = build(decided.items())
+            outcome = run_with_oracle(partial, input_symbols, budget, history_cap)
+            runs += 1
+            if isinstance(outcome, Halted):
+                final = outcome.final_id
+                k = position[(final.state, final.symbol_at(final.head))]
+                if k not in decided:
+                    for d in range(radix):
+                        explore({**decided, k: d}, None if d else outcome)
+                    return
+        choices = [(decided[k],) if k in decided else range(radix) for k in range(len(slots))]
+        for digits in product(*choices):
+            machine = build(enumerate(digits))
+            audit = None
+            if isinstance(outcome, (Halted, LoopDetected)):
+                audit = replay_verify(machine, input_symbols, outcome)
+            index = sum(d * w for d, w in zip(digits, weights))
+            rows[index] = ClassificationRow(machine_code(machine), outcome, audit)
+
     started = time.perf_counter()
-    for machine in enumerate_class(mclass):
-        node = root
-        while node.outcome is None:
-            if node.slot is None:
-                _explore(mclass, node, input_symbols, budget, history_cap)
-                runs += 1
-                continue
-            rule = machine.transitions.get(node.slot)
-            child = node.children.get(rule)
-            if child is None:
-                child = node.children[rule] = _PrefixNode({**node.decided, node.slot: rule})
-            node = child
-        outcome = node.outcome
-        audit = None
-        if isinstance(outcome, (Halted, LoopDetected)):
-            audit = replay_verify(machine, input_symbols, outcome)
-        rows.append(ClassificationRow(machine_code(machine), outcome, audit))
+    explore({}, None)
     wall = time.perf_counter() - started
     return ClassificationReport(
         mclass=mclass,
@@ -514,19 +498,17 @@ def load_fixture(path: str | Path) -> TrioFixture:
     if expect is not None and expect not in _EXPECT_TAGS:
         raise FixtureError(f"{p}: expect must be one of {sorted(_EXPECT_TAGS)}")
     cap = natural("history_cap", pairs["history_cap"]) if "history_cap" in pairs else None
-    g_body = functions[entry]
-    if arity(g_body) != len(args) + 1:
-        raise FixtureError(
-            f"{p}: {entry!r} has arity {arity(g_body)} but {len(args)} fixed arguments were given"
-        )
+    quantum = natural("quantum", pairs["quantum"])
+    budget = natural("budget", pairs["budget"])
+    max_cert_size = natural("max_cert_size", pairs["max_cert_size"])
     try:
         task = TrioTask(
-            g_body=g_body,
+            g_body=functions[entry],
             fixed_args=args,
             t2_machine=machine,
-            quantum=natural("quantum", pairs["quantum"]),
-            budget=natural("budget", pairs["budget"]),
-            max_cert_size=natural("max_cert_size", pairs["max_cert_size"]),
+            quantum=quantum,
+            budget=budget,
+            max_cert_size=max_cert_size,
             t2_history_cap=cap,
         )
     except ValueError as err:

@@ -90,10 +90,14 @@ def _mix(x: int) -> int:
 # Lazily filled fingerprint tables, deterministic across runs and
 # processes (no dependence on PYTHONHASHSEED).  Cell keys fold the cell
 # index and symbol together; the multiplier keeps them injective for any
-# alphabet a desk-scale experiment will ever use.
+# alphabet a desk-scale experiment will ever use.  Each new OracleRun
+# empties the cell and head tables once they pass _Z_LIMIT entries, so
+# they do not grow for the life of the process; their entries are pure
+# functions of the keys, so no fingerprint changes.
 _Z_CELL: dict[int, int] = {}
 _Z_STATE: dict[int, int] = {}
 _Z_HEAD: dict[int, int] = {}
+_Z_LIMIT = 1 << 16
 _CELL_FOLD = 1048573
 
 
@@ -225,6 +229,9 @@ class OracleRun(PlainRun):
         super().__init__(machine, self.input)
         self.max_history = max_history
         self.outcome: RunOutcome | None = None
+        for z in (_Z_CELL, _Z_HEAD):
+            if len(z) > _Z_LIMIT:
+                z.clear()
         h = _zstate(self.state) ^ _zhead(self.head)
         for cell, sym in self.tape.items():
             h ^= _zcell(cell, sym)

@@ -54,7 +54,9 @@ from .recfun import FuelExhausted, RecExpr, arity, evaluate_costed, oracle_evalu
 class TrioTask:
     """One extension question plus the resources granted to answer it.
 
-    ``g_body`` must have arity len(fixed_args) + 1.  ``t2_machine`` is
+    ``g_body`` must have arity len(fixed_args) + 1, ``fixed_args`` must
+    be naturals, ``t2_input`` must use ``t2_machine``'s alphabet, and
+    ``t2_history_cap`` must be None or a natural.  ``t2_machine`` is
     part of the task, not derived from the expression: which machine to
     watch is the caller's (or the fixture author's) choice.  ``budget``
     counts whole rounds; ``quantum`` is the per-searcher grant within a
@@ -78,6 +80,13 @@ class TrioTask:
             raise ValueError(
                 f"g_body arity {n} does not match {len(self.fixed_args)} fixed arguments"
             )
+        if any(a < 0 for a in self.fixed_args):
+            raise ValueError(f"fixed_args must be naturals, got {self.fixed_args}")
+        for cell, sym in enumerate(self.t2_input):
+            if not 0 <= sym < self.t2_machine.alphabet_size:
+                raise ValueError(f"t2_input symbol {sym} at cell {cell} is out of range")
+        if self.t2_history_cap is not None and self.t2_history_cap < 0:
+            raise ValueError("t2_history_cap must be nonnegative")
         if self.quantum < 1:
             raise ValueError("quantum must be at least 1")
         if self.budget < 0:

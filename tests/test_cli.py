@@ -99,6 +99,20 @@ def test_trio_negative_fixture_argument_is_a_usage_error(tmp_path, capsys):
     assert "negative.task: args entry must be a natural" in captured.err
 
 
+def test_trio_arity_mismatch_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "g.rf").write_text("def g = compose succ (proj 2 2)\n", encoding="utf-8")
+    (tmp_path / "m.tm").write_text("states=1 alphabet=2 start=0\n0 0 -> 1 R 0\n", encoding="utf-8")
+    (tmp_path / "short.task").write_text(
+        "g=g.rf\nentry=g\nmachine=m.tm\nquantum=5\nbudget=20\nmax_cert_size=3\n",
+        encoding="utf-8",
+    )
+    code = main(["trio", "--fixtures", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "short.task: g_body arity 2 does not match 0 fixed arguments" in captured.err
+    assert captured.err.count("short.task") == 1
+
+
 def test_eval_prints_the_value(capsys):
     code = main(["eval", "--program", f"{FIXTURES}/find_zero.rf", "--name", "g", "--args", "2"])
     captured = capsys.readouterr()

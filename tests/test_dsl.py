@@ -119,13 +119,14 @@ def test_term_nesting_is_bounded_with_a_located_diagnostic():
     # the succ of the 200th compose would be the 201st constructor down
     assert (err.value.line, err.value.col) == (1, 9 + 14 * (MAX_TERM_DEPTH - 1) + 8)
 
-    # Names count with the nesting of the definition they inline.
+    # Names count with the nesting of the definition they inline, and the
+    # diagnostic points at the name of the definition that goes too deep.
     chain = "def f0 = zero\n" + "".join(
         f"def f{k + 1} = compose succ (f{k})\n" for k in range(1999)
     )
     with pytest.raises(ParseError, match=f"deeper than {MAX_TERM_DEPTH}") as err:
         parse_program(chain)
-    assert err.value.line == MAX_TERM_DEPTH + 1
+    assert (err.value.line, err.value.col) == (MAX_TERM_DEPTH + 1, 5)
 
     # A term right at the bound still parses, evaluates and round-trips.
     lines = chain.splitlines()[:MAX_TERM_DEPTH]

@@ -124,6 +124,8 @@ def _per_machine_csv(mclass, budget, history_cap, input_symbols):
         (2, 2, 300, 1, (1, 0, 1)),
         (2, 2, 300, 40, (1, 0, 1)),
         (2, 2, 300, None, (1, 0, 1)),
+        (1, 4, 300, None, (3,)),
+        (3, 1, 200, 50, ()),
     ],
 )
 def test_prefix_tree_sweep_matches_one_run_per_machine(
@@ -297,6 +299,19 @@ def test_fixture_args_must_be_naturals(tmp_path):
         task.write_text(head + f"args = {value}\n", encoding="utf-8")
         with pytest.raises(FixtureError, match=r"fixed\.task: args entry must be a natural"):
             load_fixture(task)
+
+
+def test_fixture_numbers_are_reported_once_with_the_path(tmp_path):
+    (tmp_path / "g.rf").write_text("def g = compose succ (proj 2 2)\n", encoding="utf-8")
+    (tmp_path / "m.tm").write_text("states=1 alphabet=2 start=0\n0 0 -> 1 R 0\n", encoding="utf-8")
+    task = tmp_path / "X.task"
+    for key in ("quantum", "budget", "max_cert_size"):
+        pairs = {"quantum": "5", "budget": "20", "max_cert_size": "3", key: "lots"}
+        body = "".join(f"{k}={v}\n" for k, v in pairs.items())
+        task.write_text("g=g.rf\nentry=g\nmachine=m.tm\nargs=4\n" + body, encoding="utf-8")
+        with pytest.raises(FixtureError, match=f"{key} must be a natural") as err:
+            load_fixture(task)
+        assert str(err.value).count("X.task") == 1
 
 
 def test_shipped_suite_is_green_and_byte_stable():

@@ -258,6 +258,25 @@ def test_right_runner_coasts_to_its_closed_form():
     assert run_with_oracle(runner(), (), budget=10**6) == BudgetExceeded(10**6, closed)
 
 
+def test_fingerprint_tables_are_trimmed_past_their_limit():
+    # 1LB0RA_0RB1RA: 20 000 steps leave 10 000 entries in each table.
+    sweeper = Machine(
+        2,
+        2,
+        {(0, 0): (1, LEFT, 1), (0, 1): (0, RIGHT, 0), (1, 0): (0, RIGHT, 1), (1, 1): (1, RIGHT, 0)},
+    )
+    untrimmed = run_with_oracle(sweeper, (), budget=20_000)
+    for k in range(oracle._Z_LIMIT + 1):
+        oracle._zcell(-k - 1, 1)
+        oracle._zhead(-k - 1)
+    assert min(len(oracle._Z_CELL), len(oracle._Z_HEAD)) > oracle._Z_LIMIT
+    orun = OracleRun(sweeper, ())
+    assert len(oracle._Z_CELL) + len(oracle._Z_HEAD) <= 2
+    assert orun.advance(20_000) is None
+    assert BudgetExceeded(orun.steps, orun.snapshot()) == untrimmed
+    assert max(len(oracle._Z_CELL), len(oracle._Z_HEAD)) < oracle._Z_LIMIT
+
+
 @pytest.mark.parametrize(
     "machine, witness",
     [(shift_two_cycler(), (9, 6, 2)), (left_cycler(), (11, 5, -1))],

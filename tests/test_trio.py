@@ -77,6 +77,23 @@ def test_task_validation():
             budget=1,
             max_cert_size=3,
         )
+    # Inputs the run would only trip on later are refused up front too.
+    valid = dict(
+        g_body=Compose(SUCC, (Proj(2, 2),)),
+        fixed_args=(1,),
+        t2_machine=right_runner(),
+        quantum=1,
+        budget=1,
+        max_cert_size=3,
+    )
+    TrioTask(**valid, t2_input=(1, 0), t2_history_cap=0)
+    for bad, what in (
+        ({"fixed_args": (-3,)}, "fixed_args"),
+        ({"t2_input": (5,)}, "t2_input"),
+        ({"t2_history_cap": -1}, "t2_history_cap"),
+    ):
+        with pytest.raises(ValueError, match=what):
+            TrioTask(**{**valid, **bad})
 
 
 def test_zero_budget_exhausts_immediately():
