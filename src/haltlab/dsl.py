@@ -280,9 +280,10 @@ def _significant_lines(text: str) -> list[tuple[int, str]]:
 
 def _parse_machine(text: str) -> Machine:
     lines = _significant_lines(text)
-    if lines and lines[0][1].replace(" ", "") == f"format={FORMAT_VERSION}":
+    version = "".join(lines[0][1].split()) if lines else ""
+    if version == f"format={FORMAT_VERSION}":
         lines = lines[1:]
-    elif lines and lines[0][1].startswith("format="):
+    elif version.startswith("format="):
         number, content = lines[0]
         raise ParseError(f"unsupported format version in {content!r}", number, 1)
     if not lines:
@@ -346,7 +347,7 @@ def parse_program(text: str) -> Program:
     """
     lines = _significant_lines(text)
     probe = 0
-    if lines and lines[0][1].replace(" ", "").startswith("format="):
+    if lines and "".join(lines[0][1].split()).startswith("format="):
         probe = 1
     if probe < len(lines) and lines[probe][1].startswith("states="):
         return Program(machines={MAIN_MACHINE: _parse_machine(text)})

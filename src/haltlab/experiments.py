@@ -32,7 +32,7 @@ from itertools import product
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .dsl import ParseError, load_program, parse_natural
+from .dsl import ParseError, _significant_lines, load_program, parse_natural
 from .machine import LEFT, Machine, RIGHT, Transition
 from .oracle import (
     BudgetExceeded,
@@ -416,14 +416,14 @@ class TrioFixture:
     expect: str | None
 
 
-_EXPECT_TAGS = {"found", "self_terminated", "proved", "exhausted"}
-
 _VERDICT_TAGS = {
     "Found": "found",
     "SelfTerminated": "self_terminated",
     "Proved": "proved",
     "Exhausted": "exhausted",
 }
+
+_EXPECT_TAGS = set(_VERDICT_TAGS.values())
 
 
 def verdict_tag(verdict) -> str:
@@ -449,10 +449,7 @@ def load_fixture(path: str | Path) -> TrioFixture:
     except UnicodeDecodeError:
         raise FixtureError(f"{p}: not valid UTF-8") from None
     pairs: dict[str, str] = {}
-    for number, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
+    for number, stripped in _significant_lines(text):
         if "=" not in stripped:
             raise FixtureError(f"{p}: line {number}: expected key=value, got {stripped!r}")
         key, _, value = stripped.partition("=")

@@ -6,14 +6,16 @@ equals an earlier one, the run is reported as looping, with the index of
 the first occurrence and the period.  Determinism makes this sound: once
 a configuration repeats, the machine replays the same segment forever.
 
-The recorder is hash-indexed.  Each configuration contributes a 64-bit
-fingerprint maintained incrementally (one step changes at most one cell,
-the head, and the state, so the fingerprint is updated in constant
-time).  A fingerprint hit is never trusted on its own: the candidate
-earlier configuration is rebuilt by deterministic re-simulation and
-compared field by field.  False fingerprint collisions therefore cost
-time, never correctness, and the recorder needs only a constant amount
-of memory per recorded step no matter how large the tape grows.
+The recorder is hash-indexed.  The tape carries a 64-bit Zobrist
+fingerprint maintained incrementally (one step changes at most one
+cell, so it is updated in constant time), and each configuration is
+keyed by that fingerprint xor head * state_count + state: head and
+state are small integers and enter the key exactly.  A key hit is never
+trusted on its own: the candidate earlier configuration is rebuilt by
+deterministic re-simulation and compared field by field.  False
+fingerprint collisions therefore cost time, never correctness, and the
+recorder needs only a constant amount of memory per recorded step no
+matter how large the tape grows.
 
 Detection checks the configuration reached *after* each executed step
 against all earlier ones, so a loop that first returns to index i with
@@ -25,10 +27,10 @@ Two loops step a machine here.  ``PlainRun.execute`` is the one plain
 kernel: ``run``, every branch of ``replay_verify``, the re-simulation
 that confirms a fingerprint hit, and the experiments' growth profile
 all rest on it.  ``OracleRun.advance`` is the one recording loop.  It
-stays separate because it folds each step's cell, head and state change
-into the fingerprint and probes the history as it goes; routing it
-through the kernel would cost a call per step on the path that decides
-every verdict.  ``machine.step`` remains the independent reference both
+stays separate because it folds each step's cell change into the
+fingerprint and probes the history as it goes; routing it through the
+kernel would cost a call per step on the path that decides every
+verdict.  ``machine.step`` remains the independent reference both
 are tested against.
 
 The one verdict this module does not give is "runs forever without
@@ -87,16 +89,16 @@ def _mix(x: int) -> int:
     return z ^ (z >> 31)
 
 
-# Lazily filled fingerprint tables, deterministic across runs and
-# processes (no dependence on PYTHONHASHSEED).  Cell keys fold the cell
-# index and symbol together; the multiplier keeps them injective for any
-# alphabet a desk-scale experiment will ever use.  Each new OracleRun
-# empties the cell and head tables once they pass _Z_LIMIT entries, so
-# they do not grow for the life of the process; their entries are pure
-# functions of the keys, so no fingerprint changes.
+# Lazily filled fingerprint table, deterministic across runs and
+# processes (no dependence on PYTHONHASHSEED).  The fingerprint covers
+# the tape only; head and state are small integers and enter the history
+# key exactly.  Cell keys fold the cell index and symbol together; the
+# multiplier keeps them injective for any alphabet a desk-scale
+# experiment will ever use.  Each new OracleRun empties the table once
+# it passes _Z_LIMIT entries, so it does not grow for the life of the
+# process; its entries are pure functions of the keys, so no fingerprint
+# changes.
 _Z_CELL: dict[int, int] = {}
-_Z_STATE: dict[int, int] = {}
-_Z_HEAD: dict[int, int] = {}
 _Z_LIMIT = 1 << 16
 _CELL_FOLD = 1048573
 
@@ -106,20 +108,6 @@ def _zcell(cell: int, symbol: int) -> int:
     v = _Z_CELL.get(key)
     if v is None:
         v = _Z_CELL[key] = _mix(key * 3 + 1)
-    return v
-
-
-def _zstate(state: int) -> int:
-    v = _Z_STATE.get(state)
-    if v is None:
-        v = _Z_STATE[state] = _mix(state * 3 + 2)
-    return v
-
-
-def _zhead(head: int) -> int:
-    v = _Z_HEAD.get(head)
-    if v is None:
-        v = _Z_HEAD[head] = _mix(head * 3)
     return v
 
 
@@ -209,13 +197,15 @@ class OracleRun(PlainRun):
     ``advance(n)`` executes at most n steps and returns the outcome as
     soon as one is decided, else None.  Once decided, the outcome is
     sticky.  ``history_len`` counts the configurations the history
-    accounts for: after s executed steps with no repetition it is
-    exactly s + 1 (the initial configuration is recorded before step 0),
-    and ``max_history`` caps it.  That holds after a translated cycle is
-    proven too, when the run stops storing fingerprints but still counts
-    every step against the cap.  ``translation`` is the proven cycle's
-    witness.  Steps go through ``advance`` only: the inherited
-    ``execute`` skips the fingerprint.
+    accounts for: s + 1 after s executed steps (the initial
+    configuration is recorded before step 0), less the repeat once a
+    loop is detected.  ``max_history`` caps it, and ``advance`` decides
+    that stop: it runs no further than step ``max_history`` and reports
+    reaching that step as a capped BudgetExceeded, unless the step
+    closed a loop.  The cap counts every step, also after a translated
+    cycle is proven and the run stops storing fingerprints.
+    ``translation`` is the proven cycle's witness.  Steps go through
+    ``advance`` only: the inherited ``execute`` skips the fingerprint.
     """
 
     def __init__(
@@ -229,17 +219,18 @@ class OracleRun(PlainRun):
         super().__init__(machine, self.input)
         self.max_history = max_history
         self.outcome: RunOutcome | None = None
-        for z in (_Z_CELL, _Z_HEAD):
-            if len(z) > _Z_LIMIT:
-                z.clear()
-        h = _zstate(self.state) ^ _zhead(self.head)
+        if len(_Z_CELL) > _Z_LIMIT:
+            _Z_CELL.clear()
+        h = 0
         for cell, sym in self.tape.items():
             h ^= _zcell(cell, sym)
         self._hash = h
-        # fingerprint -> first step index, or list of step indices when
-        # distinct configurations happen to share a fingerprint
-        self._hist: dict[int, int | list[int]] | None = {h: 0}
-        self.history_len = 1
+        # key -> first step index, or list of step indices when distinct
+        # configurations happen to share a key.  The key is the tape's
+        # fingerprint xor head * state_count + state, so configurations
+        # with equal tapes share one only when head and state agree too.
+        key = h ^ (self.head * machine.state_count + self.state)
+        self._hist: dict[int, int | list[int]] | None = {key: 0}
         # lo and hi start at the input's ends, so records start past the
         # input and every cell ahead of one is blank.  low (high) is the
         # leftmost (rightmost) head position since the last right (left)
@@ -251,13 +242,16 @@ class OracleRun(PlainRun):
         self._records: tuple[dict[int, list], dict[int, list]] | None = ({}, {})
         # first record step, period, shift, depth of a proven cycle
         self._cycle: tuple[int, int, int, int] | None = None
-        if max_history is not None and self.history_len > max_history:
-            self.outcome = BudgetExceeded(0, self.snapshot(), history_capped=True)
 
     @property
     def translation(self) -> tuple[int, int, int] | None:
         """(first record step, period, shift) of the proven translated cycle, or None."""
         return None if self._cycle is None else self._cycle[:3]
+
+    @property
+    def history_len(self) -> int:
+        """Configurations the history accounts for; see the class docstring."""
+        return self.steps + (not isinstance(self.outcome, LoopDetected))
 
     def _confirmed_first_index(self, bucket: int | list[int]) -> int | None:
         """Re-simulate to weed fingerprint collisions out of a hit.
@@ -275,10 +269,17 @@ class OracleRun(PlainRun):
         return None
 
     def advance(self, n: int) -> RunOutcome | None:
-        if self.outcome is None and self._cycle is None:
+        if self.outcome is not None:
+            return self.outcome
+        cap = self.max_history
+        if cap is not None:
+            n = min(n, cap - self.steps)
+        if self._cycle is None:
             n -= self._observe(n)
         if self.outcome is None and self._cycle is not None:
             self._coast(n)
+        if self.outcome is None and cap is not None and self.steps >= cap:
+            self.outcome = BudgetExceeded(self.steps, self.snapshot(), history_capped=True)
         return self.outcome
 
     def _observe(self, n: int) -> int:
@@ -288,14 +289,13 @@ class OracleRun(PlainRun):
         tape = self.tape
         hist = self._hist
         m = self._m
-        cap = self.max_history
+        states = self.machine.state_count
         state = self.state
         head = self.head
         h = self._hash
         t = start = self.steps
         lo, hi, low, high = self._lo, self._hi, self._low, self._high
         rights, lefts = self._records
-        recorded = 1
         for _ in range(n):
             scanned = tape.get(head, 0)
             rule = table.get(state * m + scanned)
@@ -303,7 +303,7 @@ class OracleRun(PlainRun):
                 self.state, self.head, self.steps = state, head, t
                 self.outcome = Halted(t, self.snapshot())
                 break
-            write, move, nxt = rule
+            write, move, state = rule
             if write != scanned:
                 if scanned:
                     h ^= _zcell(head, scanned)
@@ -312,33 +312,22 @@ class OracleRun(PlainRun):
                     tape[head] = write
                 else:
                     del tape[head]
-            h ^= _zhead(head)
             head += move
-            h ^= _zhead(head)
-            if nxt != state:
-                h ^= _zstate(state) ^ _zstate(nxt)
-                state = nxt
             t += 1
-            prev = hist.get(h)
+            key = h ^ (head * states + state)
+            prev = hist.get(key)
             if prev is not None:
                 self.state, self.head, self.steps = state, head, t
                 first = self._confirmed_first_index(prev)
                 if first is not None:
                     self.outcome = LoopDetected(first, t - first)
-                    recorded = 0  # the repeat is not a new configuration
                     break
                 if isinstance(prev, int):
-                    hist[h] = [prev, t]
+                    hist[key] = [prev, t]
                 else:
                     prev.append(t)
             else:
-                hist[h] = t
-            # t < cap held before this step, so this is the first step
-            # whose configuration takes the history past its cap
-            if t == cap:
-                self.state, self.head, self.steps = state, head, t
-                self.outcome = BudgetExceeded(t, self.snapshot(), history_capped=True)
-                break
+                hist[key] = t
             if head > high:
                 high = head
                 if head > hi:
@@ -355,7 +344,6 @@ class OracleRun(PlainRun):
                     high = head
         self.state, self.head, self._hash, self.steps = state, head, h, t
         self._lo, self._hi, self._low, self._high = lo, hi, low, high
-        self.history_len = t + recorded
         if self._cycle is not None:
             self._hist = self._records = None
         return t - start
@@ -368,7 +356,8 @@ class OracleRun(PlainRun):
         step and cell, how far the head has fallen back behind that cell
         since, and the cells behind it at the time, nearest first.  That
         window is as long as the depth its own record measured, and a
-        cycle is tested only when it covers the new depth.
+        cycle is tested only when it covers the new depth.  The step at
+        ``max_history`` proves nothing: its configuration is past the cap.
         """
         for entry in records.values():
             back = d * (entry[1] - far)
@@ -378,7 +367,7 @@ class OracleRun(PlainRun):
         depth = 0 if entry is None else entry[2]
         tape = self.tape
         behind = tuple(tape.get(head - d * i, 0) for i in range(1, depth + 1))
-        if entry is not None and depth <= len(entry[3]) and entry[3][:depth] == behind:
+        if entry is not None and t != self.max_history and depth <= len(entry[3]) and entry[3][:depth] == behind:
             self._cycle = (entry[0], t - entry[0], head - entry[1], depth)
             return True
         records[state] = [t, head, 0, behind]
@@ -389,23 +378,15 @@ class OracleRun(PlainRun):
 
         Whole periods from a step aligned with the proving records go
         through ``_jump``; the lead-in and the remainder go through the
-        plain kernel, which cannot halt here.  The history cap still
-        stops the run at step ``max_history``.
+        plain kernel, which cannot halt here.
         """
         first, period, _, _ = self._cycle
         target = self.steps + max(n, 0)
-        cap = self.max_history
-        capped = cap is not None and target >= cap
-        if capped:
-            target = cap
         lead = (first - self.steps) % period
         if lead <= target - self.steps:
             self.execute(lead)
             self._jump((target - self.steps) // period)
         self.execute(target - self.steps)
-        self.history_len = self.steps + 1
-        if capped:
-            self.outcome = BudgetExceeded(self.steps, self.snapshot(), history_capped=True)
 
     def _jump(self, k: int) -> None:
         """Skip k whole periods from an aligned step.

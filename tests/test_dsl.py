@@ -205,6 +205,31 @@ def test_machine_diagnostics():
         parse_program(header + "0 0 -> 0 R 0\n0 0 -> 1 R 0\n")
 
 
+@pytest.mark.parametrize(
+    "name, text, reason",
+    [
+        ("g.rf", "def g = compose succ (proj 1 1", "unterminated composition argument list"),
+        ("g.rf", "def g = compose succ ()\n", "compose needs at least one argument"),
+        ("g.rf", "def g = compose succ (def)\n", "'def' cannot appear inside a term"),
+        ("g.rf", "format=2\ndef g = zero\n", "unsupported format version 2"),
+        ("m.tm", "format=2\nstates=1 alphabet=2 start=0\n", "unsupported format version"),
+        ("m.tm", "format = 2\nstates=1 alphabet=2 start=0\n", "unsupported format version"),
+        ("m.tm", "format\t=\t2\nstates=1 alphabet=2 start=0\n", "unsupported format version"),
+        ("m.tm", "states=1 start=0\n", r"header is missing \['alphabet'\]"),
+        ("m.tm", "states=1 alphabet=2 start=0 states=2\n", "duplicate header field 'states'"),
+        ("m.tm", "states=0 alphabet=2 start=0\n", "header values out of range"),
+        ("m.tm", "states=1 alphabet=0 start=0\n", "header values out of range"),
+        ("m.tm", "states=2 alphabet=2 start=2\n", "header values out of range"),
+        ("m.tm", "states=1 alphabet=2 start=0\n0 0 -> 1 R\n", "expected 'state symbol -> write move nextState'"),
+    ],
+)
+def test_function_and_machine_file_diagnostics(tmp_path, name, text, reason):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=reason):
+        load_program(path)
+
+
 def test_load_program_dispatches_on_suffix(tmp_path):
     # known suffixes force their grammar; anything else is sniffed
     functions_text = "def g = zero\n"

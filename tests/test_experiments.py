@@ -275,6 +275,46 @@ def test_fixture_diagnostics_name_the_broken_file(tmp_path):
         load_fixture(bad_expect)
 
 
+_FOUND_MIN_ZERO = [
+    "format=1",
+    "g=find_zero.rf",
+    "entry=g",
+    "machine=runner.tm",
+    "quantum=100",
+    "budget=100",
+    "max_cert_size=3",
+]
+
+
+@pytest.mark.parametrize(
+    "lines, reason",
+    [
+        (_FOUND_MIN_ZERO + ["budget"], "line 8: expected key=value"),
+        (_FOUND_MIN_ZERO + ["quantum = 5"], "line 8: duplicate key 'quantum'"),
+        (["format=2"] + _FOUND_MIN_ZERO[1:], "unsupported format version '2'"),
+        (_FOUND_MIN_ZERO + ["colour=red"], r"unknown keys \['colour'\]"),
+        (_FOUND_MIN_ZERO[:-1], r"missing keys \['max_cert_size'\]"),
+        ([line.replace("entry=g", "entry=h") for line in _FOUND_MIN_ZERO], "does not define 'h'"),
+        ([line.replace("runner.tm", "find_zero.rf") for line in _FOUND_MIN_ZERO], "defines no machine"),
+        ([line.replace("runner.tm", "walker.tm") for line in _FOUND_MIN_ZERO], "walker.tm"),
+        ([line.replace("find_zero.rf", "broken.rf") for line in _FOUND_MIN_ZERO], r"broken.rf: expected '\('"),
+        (None, "not valid UTF-8"),
+    ],
+)
+def test_fixture_descriptor_diagnostics(tmp_path, lines, reason):
+    for name in ("find_zero.rf", "runner.tm"):
+        shutil.copy(f"{FIXTURES}/{name}", tmp_path / name)
+    (tmp_path / "broken.rf").write_text("def g = zero\ndef h = compose succ\n", encoding="utf-8")
+    task = tmp_path / "case.task"
+    if lines is None:
+        task.write_bytes(b"g=find_zero.rf\nentry=\xff\n")
+    else:
+        task.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(FixtureError, match=reason) as err:
+        load_fixture(task)
+    assert str(err.value).startswith(str(task))
+
+
 def test_fixture_history_cap_must_be_a_natural(tmp_path):
     for name in ("nonzero_opaque.rf", "runner.tm"):
         shutil.copy(f"{FIXTURES}/{name}", tmp_path / name)

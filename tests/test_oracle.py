@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haltlab import oracle
+from haltlab.experiments import MachineClass, classify_all, report_to_csv
 from haltlab.machine import LEFT, RIGHT, InstantaneousDescription, Machine, initial_id, step
 from haltlab.oracle import (
     BudgetExceeded,
@@ -101,6 +102,22 @@ def test_plain_run_never_claims_loops():
     )
 
 
+def test_history_cap_zero_stops_before_the_first_step():
+    m = marked_ping_pong()
+    assert run_with_oracle(m, (), 10, max_history=0) == BudgetExceeded(0, initial_id(m), history_capped=True)
+    orun = OracleRun(Machine(1, 2, {}), (), max_history=0)
+    assert orun.advance(0) == BudgetExceeded(0, initial_id(Machine(1, 2, {})), history_capped=True)
+    assert orun.history_len == 1
+
+
+def test_the_capped_step_proves_no_cycle():
+    # The runner's cycle is proven at step 2, by its second record.
+    for cap, witness in ((2, None), (3, (1, 1, 1))):
+        orun = OracleRun(runner(), (), max_history=cap)
+        assert orun.advance(10) == BudgetExceeded(cap, run(runner(), (), cap).last_id, history_capped=True)
+        assert orun.translation == witness
+
+
 def test_history_cap_converts_to_budget_outcome():
     out = run_with_oracle(runner(), (), budget=100, max_history=5)
     assert isinstance(out, BudgetExceeded)
@@ -167,6 +184,12 @@ def test_replay_rejects_corrupted_outcomes():
     assert not replay_verify(m, (0, 0, 1), BudgetExceeded(steps=past, last_id=true_halt.final_id))
     assert not replay_verify(m, (0, 0, 1), LoopDetected(first_index=past, period=1))
     assert not replay_verify(m, (0, 0, 1), LoopDetected(first_index=0, period=past))
+
+    # Claims no run can make.
+    assert not replay_verify(ping_pong(), (), LoopDetected(first_index=-1, period=2))
+    assert not replay_verify(ping_pong(), (), LoopDetected(first_index=0, period=0))
+    assert not replay_verify(m, (0, 0, 1), Halted(-1, true_halt.final_id))
+    assert not replay_verify(m, (0, 0, 1), true_halt.final_id)
 
 
 def test_replay_accepts_any_true_recurrence_not_only_the_first():
@@ -246,20 +269,20 @@ def left_cycler() -> Machine:
 
 
 def test_right_runner_coasts_to_its_closed_form():
-    before = len(oracle._Z_HEAD)
     orun = OracleRun(runner(), ())
+    before = len(oracle._Z_CELL)
     assert orun.advance(10**6) is None
     assert orun.translation == (1, 1, 1)
     assert (orun.state, orun.head, orun.steps, orun.history_len) == (0, 10**6, 10**6, 10**6 + 1)
     assert orun.tape == dict.fromkeys(range(10**6), 1)
-    # Coasting records nothing, so the fingerprint tables stop growing.
-    assert len(oracle._Z_HEAD) - before < 10
+    # Coasting records nothing, so the fingerprint table stops growing.
+    assert len(oracle._Z_CELL) - before < 10
     closed = InstantaneousDescription(0, 10**6, tuple((cell, 1) for cell in range(10**6)))
     assert run_with_oracle(runner(), (), budget=10**6) == BudgetExceeded(10**6, closed)
 
 
-def test_fingerprint_tables_are_trimmed_past_their_limit():
-    # 1LB0RA_0RB1RA: 20 000 steps leave 10 000 entries in each table.
+def test_fingerprint_table_is_trimmed_past_its_limit():
+    # 1LB0RA_0RB1RA: 20 000 steps leave 10 000 entries in the table.
     sweeper = Machine(
         2,
         2,
@@ -268,13 +291,32 @@ def test_fingerprint_tables_are_trimmed_past_their_limit():
     untrimmed = run_with_oracle(sweeper, (), budget=20_000)
     for k in range(oracle._Z_LIMIT + 1):
         oracle._zcell(-k - 1, 1)
-        oracle._zhead(-k - 1)
-    assert min(len(oracle._Z_CELL), len(oracle._Z_HEAD)) > oracle._Z_LIMIT
+    assert len(oracle._Z_CELL) > oracle._Z_LIMIT
     orun = OracleRun(sweeper, ())
-    assert len(oracle._Z_CELL) + len(oracle._Z_HEAD) <= 2
+    assert not oracle._Z_CELL
     assert orun.advance(20_000) is None
     assert BudgetExceeded(orun.steps, orun.snapshot()) == untrimmed
-    assert max(len(oracle._Z_CELL), len(oracle._Z_HEAD)) < oracle._Z_LIMIT
+    assert len(oracle._Z_CELL) < oracle._Z_LIMIT
+
+
+def test_false_fingerprint_collisions_change_no_verdict(monkeypatch):
+    """With every tape sharing one fingerprint, only the replay tells
+    configurations with the same head and state apart."""
+    expected = report_to_csv(classify_all(MachineClass(2, 2), budget=300, history_cap=None))
+    confirm = OracleRun._confirmed_first_index
+    false_hits = []
+
+    def counted(self, bucket):
+        first = confirm(self, bucket)
+        if first is None:
+            false_hits.append(bucket)
+        return first
+
+    monkeypatch.setattr(oracle, "_zcell", lambda cell, symbol: 0)
+    monkeypatch.setattr(OracleRun, "_confirmed_first_index", counted)
+    collided = report_to_csv(classify_all(MachineClass(2, 2), budget=300, history_cap=None))
+    assert collided == expected
+    assert false_hits and any(isinstance(bucket, list) for bucket in false_hits)
 
 
 @pytest.mark.parametrize(
@@ -351,8 +393,8 @@ def test_sliced_oracle_tracks_the_plain_kernel(data):
     machine = data.draw(machines(max_states=4))
     symbols = st.integers(0, machine.alphabet_size - 1)
     tape = tuple(data.draw(st.lists(symbols, min_size=1, max_size=6)))
-    cap = data.draw(st.none() | st.integers(1, 400))
-    slices = data.draw(st.lists(st.integers(1, 50), max_size=30))
+    cap = data.draw(st.none() | st.integers(0, 400))
+    slices = data.draw(st.lists(st.integers(0, 50), max_size=30))
     orun = OracleRun(machine, tape, max_history=cap)
     plain = PlainRun(machine, tape)
     for n in slices:

@@ -148,6 +148,21 @@ def test_machine_watcher_needs_enough_accumulated_steps():
     assert runner.rounds_run == 2
 
 
+def test_a_zero_history_cap_holds_the_watcher_at_step_zero():
+    task = TrioTask(
+        g_body=OPAQUE_ONE,
+        fixed_args=(),
+        t2_machine=bouncer(),
+        quantum=10,
+        budget=5,
+        max_cert_size=3,
+        t2_history_cap=0,
+    )
+    runner = TrioRun(task)
+    assert runner.run() == Exhausted(rounds=5)
+    assert runner.t2_steps == 0
+
+
 def test_scheduling_order_gives_the_watcher_priority_over_proofs():
     # With a big quantum both T2 and T3 could fire in round one; T2 is
     # polled first, so the loop wins over the available certificate.
