@@ -7,8 +7,10 @@ falsify`` prints the right-runner demonstration.  All configuration is
 flags; nothing is read from the environment.
 
 Exit codes: 0 on success, 1 when an audit or expectation fails, 2 for
-unusable invocations or inputs (argparse uses 2 for flag errors on its
-own; file and parse problems land there too).
+unusable invocations or inputs.  argparse uses 2 for flag errors on its
+own; ``main`` is the one place that turns every other error into 2: a
+diagnostic from the package, an input that cannot be read, and an
+``--out`` that cannot be written.
 """
 
 from __future__ import annotations
@@ -16,11 +18,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .dsl import ParseError, load_program, parse_natural
+from .dsl import load_program, parse_natural
 from .experiments import (
     DEFAULT_BUDGET,
     DEFAULT_HISTORY_CAP,
-    FixtureError,
     MachineClass,
     classify_all,
     falsify_demo,
@@ -31,7 +32,7 @@ from .experiments import (
     suite_to_csv,
     summary_text,
 )
-from .recfun import ArityError, FuelExhausted, evaluate
+from .recfun import FuelExhausted, evaluate
 
 USAGE_ERROR = 2
 AUDIT_ERROR = 1
@@ -62,16 +63,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated input symbols (default: blank tape)",
     )
     p_classify.add_argument("--out", help="write the CSV here instead of stdout")
+    p_classify.set_defaults(run=_cmd_classify)
 
     p_trio = sub.add_parser("trio", help="run every .task fixture in a directory")
     p_trio.add_argument("--fixtures", required=True, help="directory of .task files")
     p_trio.add_argument("--out", help="also write a CSV of the records here")
+    p_trio.set_defaults(run=_cmd_trio)
 
     p_eval = sub.add_parser("eval", help="apply a defined function to arguments")
     p_eval.add_argument("--program", required=True, help="a .rf definition file")
     p_eval.add_argument("--name", required=True, help="which definition to apply")
     p_eval.add_argument("--args", default="", help="comma-separated naturals")
     p_eval.add_argument("--fuel", type=int, default=100_000, help="evaluation fuel")
+    p_eval.set_defaults(run=_cmd_eval)
 
     p_demo = sub.add_parser("demo", help="standing demonstrations")
     p_demo.add_argument("what", choices=["falsify"], help="which demonstration")
@@ -80,6 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="100,1000,10000,100000,1000000",
         help="comma-separated step budgets",
     )
+    p_demo.set_defaults(run=_cmd_demo)
 
     return parser
 
@@ -96,16 +101,12 @@ def _parse_naturals(text: str, what: str) -> tuple[int, ...]:
 
 
 def _cmd_classify(ns: argparse.Namespace) -> int:
-    try:
-        mclass = MachineClass(ns.states, ns.symbols)
-        input_symbols = _parse_naturals(ns.input, "--input")
-        cap = None if ns.history_cap == 0 else ns.history_cap
-        if ns.budget < 0 or (cap is not None and cap < 1):
-            raise ValueError("budget must be nonnegative and history cap positive")
-        report = classify_all(mclass, ns.budget, cap, input_symbols)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_ERROR
+    mclass = MachineClass(ns.states, ns.symbols)
+    input_symbols = _parse_naturals(ns.input, "--input")
+    cap = None if ns.history_cap == 0 else ns.history_cap
+    if ns.budget < 0 or (cap is not None and cap < 1):
+        raise ValueError("budget must be nonnegative and history cap positive")
+    report = classify_all(mclass, ns.budget, cap, input_symbols)
     body = report_to_csv(report)
     if ns.out:
         with open(ns.out, "w", encoding="utf-8", newline="") as handle:
@@ -118,11 +119,7 @@ def _cmd_classify(ns: argparse.Namespace) -> int:
 
 
 def _cmd_trio(ns: argparse.Namespace) -> int:
-    try:
-        report = run_fixture_suite(ns.fixtures)
-    except FixtureError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_ERROR
+    report = run_fixture_suite(ns.fixtures)
     if ns.out:
         with open(ns.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(suite_to_csv(report))
@@ -131,24 +128,15 @@ def _cmd_trio(ns: argparse.Namespace) -> int:
 
 
 def _cmd_eval(ns: argparse.Namespace) -> int:
-    try:
-        program = load_program(ns.program)
-    except (ParseError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_ERROR
+    program = load_program(ns.program)
     expr = program.functions.get(ns.name)
     if expr is None:
         names = ", ".join(sorted(program.functions)) or "none"
-        print(f"error: no definition {ns.name!r} (available: {names})", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        args = _parse_naturals(ns.args, "--args")
-        if ns.fuel < 0:
-            raise ValueError("--fuel must be nonnegative")
-        result = evaluate(expr, args, ns.fuel)
-    except (ArityError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"no definition {ns.name!r} (available: {names})")
+    args = _parse_naturals(ns.args, "--args")
+    if ns.fuel < 0:
+        raise ValueError("--fuel must be nonnegative")
+    result = evaluate(expr, args, ns.fuel)
     if isinstance(result, FuelExhausted):
         print(f"fuel exhausted after {result.consumed} units")
     else:
@@ -157,13 +145,9 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
 
 
 def _cmd_demo(ns: argparse.Namespace) -> int:
-    try:
-        budgets = _parse_naturals(ns.budgets, "--budgets")
-        if not budgets:
-            raise ValueError("--budgets must name at least one budget")
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_ERROR
+    budgets = _parse_naturals(ns.budgets, "--budgets")
+    if not budgets:
+        raise ValueError("--budgets must name at least one budget")
     report = falsify_demo(budgets)
     print(falsify_text(report), end="")
     ok = report.all_budget_exceeded and report.strictly_monotone
@@ -171,15 +155,14 @@ def _cmd_demo(ns: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    if ns.command == "classify":
-        return _cmd_classify(ns)
-    if ns.command == "trio":
-        return _cmd_trio(ns)
-    if ns.command == "eval":
-        return _cmd_eval(ns)
-    return _cmd_demo(ns)
+    ns = build_parser().parse_args(argv)
+    try:
+        return ns.run(ns)
+    except (ValueError, OSError) as err:
+        # Every package diagnostic is a ValueError; OSError covers an
+        # input that cannot be read and an --out that cannot be written.
+        print(f"error: {err}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 def entry() -> None:

@@ -26,8 +26,9 @@ Program back to canonical text.  Printing a parsed program and parsing
 the printed text is the identity on Programs — the canonical form
 always carries the version marker, fully parenthesizes composite
 subterms, and lists machine transitions in table order.  All diagnostics
-are ParseError values carrying a line and column; no input text, however
-damaged, raises anything else.
+are ParseError values carrying a line and column, and from
+``load_program`` the file's path; no input text, however damaged,
+raises anything else.
 """
 
 from __future__ import annotations
@@ -72,13 +73,18 @@ def parse_natural(text: str) -> int | None:
 
 
 class ParseError(ValueError):
-    """A located diagnostic; line and column are 1-based."""
+    """A located diagnostic; line and column are 1-based.  ``path``
+    names the file when the text came from one and is printed first."""
 
-    def __init__(self, message: str, line: int, col: int) -> None:
-        super().__init__(f"line {line}, column {col}: {message}")
+    def __init__(
+        self, message: str, line: int, col: int, path: str | Path | None = None
+    ) -> None:
+        located = f"line {line}, column {col}: {message}"
+        super().__init__(located if path is None else f"{path}: {located}")
         self.reason = message
         self.line = line
         self.col = col
+        self.path = path
 
 
 @dataclass
@@ -422,13 +428,13 @@ def load_program(path: str | Path) -> Program:
 
     ``.tm`` forces the machine grammar and ``.rf`` the function grammar;
     anything else is sniffed like ``parse_program``.  Diagnostics are
-    re-raised with the file name prepended.
+    re-raised carrying the file's path.
     """
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
-        raise ParseError(f"{p}: not valid UTF-8 ({err.reason})", 1, 1) from None
+        raise ParseError(f"not valid UTF-8 ({err.reason})", 1, 1, p) from None
     try:
         if p.suffix == ".tm":
             return Program(machines={MAIN_MACHINE: _parse_machine(text)})
@@ -436,4 +442,4 @@ def load_program(path: str | Path) -> Program:
             return Program(functions=_parse_functions(text))
         return parse_program(text)
     except ParseError as err:
-        raise ParseError(f"{p}: {err.reason}", err.line, err.col) from None
+        raise ParseError(err.reason, err.line, err.col, p) from None

@@ -84,10 +84,18 @@ def _slots_and_options(
 ) -> tuple[list[tuple[int, int]], list[Transition | None]]:
     """The class's table slots in canonical order and the options each
     slot cycles through, "absent" (None) first; refuses oversized classes."""
-    if mclass.size > CLASS_SIZE_GUARD:
-        raise ValueError(
-            f"class holds {mclass.size} machines, beyond the guard of {CLASS_SIZE_GUARD}"
-        )
+    # Multiply one slot at a time instead of reading ``mclass.size``:
+    # that power can run to thousands of digits.  per_slot is at least
+    # 3, so the product passes the guard within 15 factors.
+    count = mclass.state_count * mclass.alphabet_size
+    per_slot = 2 * count + 1
+    size = 1
+    for _ in range(count):
+        size *= per_slot
+        if size > CLASS_SIZE_GUARD:
+            raise ValueError(
+                f"class holds {per_slot}**{count} machines, beyond the guard of {CLASS_SIZE_GUARD}"
+            )
     slots = [
         (state, symbol)
         for state in range(mclass.state_count)

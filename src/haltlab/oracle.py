@@ -82,33 +82,32 @@ _M64 = (1 << 64) - 1
 
 
 def _mix(x: int) -> int:
-    """splitmix64 finalizer; the fingerprint tables are filled from it."""
+    """splitmix64 finalizer; each run's fingerprint table is filled from it."""
     z = (x + 0x9E3779B97F4A7C15) & _M64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
     return z ^ (z >> 31)
 
 
-# Lazily filled fingerprint table, deterministic across runs and
-# processes (no dependence on PYTHONHASHSEED).  The fingerprint covers
-# the tape only; head and state are small integers and enter the history
-# key exactly.  Cell keys fold the cell index and symbol together; the
-# multiplier keeps them injective for any alphabet a desk-scale
-# experiment will ever use.  Each new OracleRun empties the table once
-# it passes _Z_LIMIT entries, so it does not grow for the life of the
-# process; its entries are pure functions of the keys, so no fingerprint
-# changes.
-_Z_CELL: dict[int, int] = {}
-_Z_LIMIT = 1 << 16
+# Cell keys fold the cell index and symbol together; the multiplier
+# keeps them injective for any alphabet a desk-scale experiment will
+# ever use.
 _CELL_FOLD = 1048573
 
 
-def _zcell(cell: int, symbol: int) -> int:
-    key = cell * _CELL_FOLD + symbol
-    v = _Z_CELL.get(key)
-    if v is None:
-        v = _Z_CELL[key] = _mix(key * 3 + 1)
-    return v
+class _CellTable(dict):
+    """One run's fingerprint values by cell key, filled lazily from _mix.
+
+    The values are pure functions of the keys, the same in every run and
+    process (no dependence on PYTHONHASHSEED).  Each OracleRun holds its
+    own table and drops it with its history once a cycle is proven, so
+    no table outlives its run.  The fingerprint covers the tape only;
+    head and state are small integers and enter the history key exactly.
+    """
+
+    def __missing__(self, key: int) -> int:
+        value = self[key] = _mix(key * 3 + 1)
+        return value
 
 
 @dataclass(frozen=True)
@@ -219,11 +218,11 @@ class OracleRun(PlainRun):
         super().__init__(machine, self.input)
         self.max_history = max_history
         self.outcome: RunOutcome | None = None
-        if len(_Z_CELL) > _Z_LIMIT:
-            _Z_CELL.clear()
+        z = _CellTable()
+        self._zobrist: _CellTable | None = z
         h = 0
         for cell, sym in self.tape.items():
-            h ^= _zcell(cell, sym)
+            h ^= z[cell * _CELL_FOLD + sym]
         self._hash = h
         # key -> first step index, or list of step indices when distinct
         # configurations happen to share a key.  The key is the tape's
@@ -288,6 +287,7 @@ class OracleRun(PlainRun):
         table = self._table
         tape = self.tape
         hist = self._hist
+        z = self._zobrist
         m = self._m
         states = self.machine.state_count
         state = self.state
@@ -306,9 +306,9 @@ class OracleRun(PlainRun):
             write, move, state = rule
             if write != scanned:
                 if scanned:
-                    h ^= _zcell(head, scanned)
+                    h ^= z[head * _CELL_FOLD + scanned]
                 if write:
-                    h ^= _zcell(head, write)
+                    h ^= z[head * _CELL_FOLD + write]
                     tape[head] = write
                 else:
                     del tape[head]
@@ -345,7 +345,7 @@ class OracleRun(PlainRun):
         self.state, self.head, self._hash, self.steps = state, head, h, t
         self._lo, self._hi, self._low, self._high = lo, hi, low, high
         if self._cycle is not None:
-            self._hist = self._records = None
+            self._hist = self._zobrist = self._records = None
         return t - start
 
     def _record(self, records: dict[int, list], t: int, head: int, state: int, far: int, d: int) -> bool:

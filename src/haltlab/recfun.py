@@ -23,8 +23,8 @@ that side condition demands.
 Two evaluators live here.  ``oracle_evaluate`` is the naive reference:
 written first, structured as directly as possible, and used to audit
 the main evaluator differentially.  ``evaluate`` is the one the rest of
-the package calls.  They share the semantics and the fuel convention
-but deliberately no code.
+the package calls.  They share the semantics, the fuel convention and
+the argument check ``_check_call``, and deliberately no evaluation code.
 """
 
 from __future__ import annotations
@@ -170,30 +170,32 @@ class _OutOfFuel(Exception):
     pass
 
 
-def _check_call(expr: RecExpr, args: tuple[int, ...]) -> None:
+def _check_call(expr: RecExpr, args: Iterable[int], fuel: int) -> tuple[int, ...]:
+    """The public evaluators' one shared step: validate a call, return its arguments."""
+    argv = tuple(args)
     n = arity(expr)
-    if len(args) != n:
-        raise ArityError("term", f"expected {n} arguments, got {len(args)}")
-    for a in args:
+    if len(argv) != n:
+        raise ArityError("term", f"expected {n} arguments, got {len(argv)}")
+    for a in argv:
         if a < 0:
             raise ValueError(f"arguments must be naturals, got {a}")
+    if fuel < 0:
+        raise ValueError("fuel must be nonnegative")
+    return argv
 
 
 # --- reference evaluator -------------------------------------------------
 #
 # Kept intentionally plain: isinstance dispatch, explicit lists, no
-# sharing with the evaluator below.  This is the yardstick, so clarity
-# beats speed.
+# evaluation code shared with the evaluator below.  This is the
+# yardstick, so clarity beats speed.
 
 
 def oracle_evaluate(
     expr: RecExpr, args: Iterable[int], fuel: int
 ) -> int | FuelExhausted:
     """Naive structural evaluation with the standard fuel convention."""
-    argv = tuple(args)
-    _check_call(expr, argv)
-    if fuel < 0:
-        raise ValueError("fuel must be nonnegative")
+    argv = _check_call(expr, args, fuel)
     tank = [fuel]
 
     def spend() -> None:
@@ -294,10 +296,7 @@ def evaluate(
     receiving (body, outer arguments, witness); audits use it to
     re-check least-witness claims from outside.
     """
-    argv = tuple(args)
-    _check_call(expr, argv)
-    if fuel < 0:
-        raise ValueError("fuel must be nonnegative")
+    argv = _check_call(expr, args, fuel)
     value, consumed = _run(expr, argv, fuel, on_mu)
     if value is None:
         return FuelExhausted(consumed=consumed)
@@ -312,10 +311,7 @@ def evaluate_costed(
     A None value means exhaustion, with all granted fuel consumed.  The
     cooperative scheduler uses this to account work precisely.
     """
-    argv = tuple(args)
-    _check_call(expr, argv)
-    if fuel < 0:
-        raise ValueError("fuel must be nonnegative")
+    argv = _check_call(expr, args, fuel)
     return _run(expr, argv, fuel, None)
 
 

@@ -174,7 +174,6 @@ class TrioRun:
         self._t3_candidates: Iterator[Certificate] = enumerate_certificates(
             self.statement, task.max_cert_size
         )
-        self._t3_done = False
         self._verdict: TrioVerdict | None = None
 
     @property
@@ -228,12 +227,9 @@ class TrioRun:
 
     def _advance_t3(self) -> Proved | None:
         self.t3_granted += self.task.quantum
-        if self._t3_done:
-            return None
         for _ in range(self.task.quantum):
             candidate = next(self._t3_candidates, None)
             if candidate is None:
-                self._t3_done = True
                 return None
             self.t3_checked += 1
             if check_certificate(candidate, self.statement):

@@ -36,6 +36,27 @@ def test_classify_refuses_oversized_classes(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_classify_guard_refuses_huge_classes_by_their_shape(capsys):
+    # 8001**4000 has more digits than int-to-str conversion allows.
+    for states, shape in (("2000", "8001**4000"), ("100000", "400001**200000")):
+        assert main(["classify", "--states", states, "--symbols", "2"]) == 2
+        err = capsys.readouterr().err
+        assert f"holds {shape} machines, beyond the guard" in err
+
+
+def test_unwritable_out_files_are_usage_errors(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    for argv in (
+        ["classify", "--states", "1", "--symbols", "1", "--out", str(missing / "r.csv")],
+        ["trio", "--fixtures", FIXTURES, "--out", str(missing / "s.csv")],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and str(missing) in lines[0]
+
+
 def test_classify_validates_flag_values(capsys):
     assert main(["classify", "--states", "0", "--symbols", "2"]) == 2
     assert main(["classify", "--states", "1", "--symbols", "2", "--budget", "-5"]) == 2
@@ -140,12 +161,19 @@ def test_eval_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_eval_unknown_name_lists_the_available_names(capsys):
+    assert main(["eval", "--program", f"{FIXTURES}/find_zero.rf", "--name", "nosuch"]) == 2
+    assert capsys.readouterr().err == (
+        "error: no definition 'nosuch' (available: g, monus, p2, pred, three)\n"
+    )
+
+
 def test_non_ascii_digits_are_usage_errors(tmp_path, capsys):
     superscript = tmp_path / "super.rf"
     superscript.write_text("def g = proj \u00b2 1\n", encoding="utf-8")
     assert main(["eval", "--program", str(superscript), "--name", "g", "--args", "1"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: line 1, column 14: ") and "unexpected character" in err
+    assert err.startswith(f"error: {superscript}: line 1, column 14: ") and "unexpected character" in err
     for value in ("\u00b2", "1" * 5000):
         assert main(["classify", "--states", "1", "--symbols", "2", "--input", value]) == 2
         err = capsys.readouterr().err
@@ -165,6 +193,7 @@ def test_demo_falsify_reports_the_ladder(capsys):
 def test_demo_falsify_validates_budgets(capsys):
     assert main(["demo", "falsify", "--budgets", ""]) == 2
     assert main(["demo", "falsify", "--budgets", "ten"]) == 2
+    assert main(["demo", "falsify", "--budgets", ","]) == 2
     capsys.readouterr()
 
 

@@ -297,7 +297,7 @@ _FOUND_MIN_ZERO = [
         ([line.replace("entry=g", "entry=h") for line in _FOUND_MIN_ZERO], "does not define 'h'"),
         ([line.replace("runner.tm", "find_zero.rf") for line in _FOUND_MIN_ZERO], "defines no machine"),
         ([line.replace("runner.tm", "walker.tm") for line in _FOUND_MIN_ZERO], "walker.tm"),
-        ([line.replace("find_zero.rf", "broken.rf") for line in _FOUND_MIN_ZERO], r"broken.rf: expected '\('"),
+        ([line.replace("find_zero.rf", "broken.rf") for line in _FOUND_MIN_ZERO], r"broken\.rf: line \d+, column \d+: expected '\('"),
         (None, "not valid UTF-8"),
     ],
 )

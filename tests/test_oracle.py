@@ -270,33 +270,32 @@ def left_cycler() -> Machine:
 
 def test_right_runner_coasts_to_its_closed_form():
     orun = OracleRun(runner(), ())
-    before = len(oracle._Z_CELL)
     assert orun.advance(10**6) is None
     assert orun.translation == (1, 1, 1)
     assert (orun.state, orun.head, orun.steps, orun.history_len) == (0, 10**6, 10**6, 10**6 + 1)
     assert orun.tape == dict.fromkeys(range(10**6), 1)
-    # Coasting records nothing, so the fingerprint table stops growing.
-    assert len(oracle._Z_CELL) - before < 10
+    # Coasting records nothing: the proof dropped the fingerprint table.
+    assert orun._zobrist is None and orun._hist is None
     closed = InstantaneousDescription(0, 10**6, tuple((cell, 1) for cell in range(10**6)))
     assert run_with_oracle(runner(), (), budget=10**6) == BudgetExceeded(10**6, closed)
 
 
-def test_fingerprint_table_is_trimmed_past_its_limit():
-    # 1LB0RA_0RB1RA: 20 000 steps leave 10 000 entries in the table.
+def test_no_fingerprint_state_outlives_a_run():
+    # 1LB0RA_0RB1RA: 20 000 steps fill 6667 fingerprint table entries.
     sweeper = Machine(
         2,
         2,
         {(0, 0): (1, LEFT, 1), (0, 1): (0, RIGHT, 0), (1, 0): (0, RIGHT, 1), (1, 1): (1, RIGHT, 0)},
     )
-    untrimmed = run_with_oracle(sweeper, (), budget=20_000)
-    for k in range(oracle._Z_LIMIT + 1):
-        oracle._zcell(-k - 1, 1)
-    assert len(oracle._Z_CELL) > oracle._Z_LIMIT
+
+    def module_dicts() -> dict[str, int]:
+        return {name: len(v) for name, v in vars(oracle).items() if isinstance(v, dict)}
+
+    before = module_dicts()
     orun = OracleRun(sweeper, ())
-    assert not oracle._Z_CELL
     assert orun.advance(20_000) is None
-    assert BudgetExceeded(orun.steps, orun.snapshot()) == untrimmed
-    assert len(oracle._Z_CELL) < oracle._Z_LIMIT
+    assert len(orun._zobrist) == 6667
+    assert module_dicts() == before
 
 
 def test_false_fingerprint_collisions_change_no_verdict(monkeypatch):
@@ -312,7 +311,7 @@ def test_false_fingerprint_collisions_change_no_verdict(monkeypatch):
             false_hits.append(bucket)
         return first
 
-    monkeypatch.setattr(oracle, "_zcell", lambda cell, symbol: 0)
+    monkeypatch.setattr(oracle, "_mix", lambda x: 0)
     monkeypatch.setattr(OracleRun, "_confirmed_first_index", counted)
     collided = report_to_csv(classify_all(MachineClass(2, 2), budget=300, history_cap=None))
     assert collided == expected
