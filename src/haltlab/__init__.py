@@ -32,6 +32,7 @@ from .oracle import (
 from .recfun import (
     ADD,
     ArityError,
+    CompiledTerm,
     Compose,
     EQ_CHAR,
     FuelExhausted,

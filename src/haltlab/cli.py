@@ -140,8 +140,26 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
     if isinstance(result, FuelExhausted):
         print(f"fuel exhausted after {result.consumed} units")
     else:
-        print(result)
+        print(_decimal(result))
     return 0
+
+
+def _decimal(value: int) -> str:
+    """All the decimal digits of a natural, however many.
+
+    An argument may have as many digits as ``str`` converts, and the
+    value can be larger still, so convert in chunks under the limit.
+    """
+    width = sys.get_int_max_str_digits()
+    if width == 0:
+        return str(value)
+    chunk = 10**width
+    parts = []
+    while value >= chunk:
+        value, low = divmod(value, chunk)
+        parts.append(str(low).zfill(width))
+    parts.append(str(value))
+    return "".join(reversed(parts))
 
 
 def _cmd_demo(ns: argparse.Namespace) -> int:

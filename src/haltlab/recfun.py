@@ -23,8 +23,12 @@ that side condition demands.
 Two evaluators live here.  ``oracle_evaluate`` is the naive reference:
 written first, structured as directly as possible, and used to audit
 the main evaluator differentially.  ``evaluate`` is the one the rest of
-the package calls.  They share the semantics, the fuel convention and
-the argument check ``_check_call``, and deliberately no evaluation code.
+the package calls: it compiles the term to one closure per node and runs
+that.  A ``CompiledTerm`` keeps the validated, compiled term for a caller
+that evaluates one term many times, such as the trio's value search;
+``evaluate_costed`` accepts it in place of a term.  The two evaluators
+share the semantics, the fuel convention and the argument check
+``_check_call``, and deliberately no evaluation code.
 """
 
 from __future__ import annotations
@@ -171,9 +175,13 @@ class _OutOfFuel(Exception):
 
 
 def _check_call(expr: RecExpr, args: Iterable[int], fuel: int) -> tuple[int, ...]:
-    """The public evaluators' one shared step: validate a call, return its arguments."""
+    """Validate a call, the term first and then its arguments; return the arguments."""
+    return _check_args(arity(expr), args, fuel)
+
+
+def _check_args(n: int, args: Iterable[int], fuel: int) -> tuple[int, ...]:
+    """Check a call of an already validated term of arity ``n``."""
     argv = tuple(args)
-    n = arity(expr)
     if len(argv) != n:
         raise ArityError("term", f"expected {n} arguments, got {len(argv)}")
     for a in argv:
@@ -237,50 +245,149 @@ def oracle_evaluate(
 
 
 # --- main evaluator -------------------------------------------------------
+#
+# A term is compiled once into one closure per node.  The closures share
+# the fuel counter of their compilation, so a compiled term runs one
+# evaluation at a time.
 
 
-def _run(
+def _compile(
     expr: RecExpr,
-    args: tuple[int, ...],
-    fuel: int,
     on_mu: Callable[[RecExpr, tuple[int, ...], int], None] | None,
-) -> tuple[int | None, int]:
-    remaining = fuel
+) -> Callable[[tuple[int, ...], int], tuple[int | None, int]]:
+    """Compile a validated term into ``run(args, fuel) -> (value, consumed)``.
 
-    def ev(e: RecExpr, xs: tuple[int, ...]) -> int:
-        nonlocal remaining
-        if remaining == 0:
-            raise _OutOfFuel
-        remaining -= 1
+    A run that exhausts its fuel returns (None, fuel).
+    """
+    remaining = 0
+
+    def build(e: RecExpr) -> Callable[[tuple[int, ...]], int]:
         t = type(e)
         if t is Proj:
-            return xs[e.i - 1]
-        if t is Compose:
-            return ev(e.outer, tuple(ev(g, xs) for g in e.inners))
-        if t is Succ:
-            return xs[0] + 1
-        if t is Zero:
-            return 0
-        if t is PrimRec:
-            front = xs[:-1]
-            acc = ev(e.base, front)
-            for level in range(xs[-1]):
-                acc = ev(e.step, front + (level, acc))
-            return acc
-        body = e.body
-        candidate = 0
-        while True:
-            if ev(body, xs + (candidate,)) == 0:
-                if on_mu is not None:
-                    on_mu(body, xs, candidate)
-                return candidate
-            candidate += 1
+            i = e.i - 1
 
-    try:
-        value = ev(expr, args)
-    except _OutOfFuel:
-        return None, fuel
-    return value, fuel - remaining
+            def proj(xs: tuple[int, ...]) -> int:
+                nonlocal remaining
+                if remaining == 0:
+                    raise _OutOfFuel
+                remaining -= 1
+                return xs[i]
+
+            return proj
+        if t is Succ:
+
+            def succ(xs: tuple[int, ...]) -> int:
+                nonlocal remaining
+                if remaining == 0:
+                    raise _OutOfFuel
+                remaining -= 1
+                return xs[0] + 1
+
+            return succ
+        if t is Zero:
+
+            def zero(xs: tuple[int, ...]) -> int:
+                nonlocal remaining
+                if remaining == 0:
+                    raise _OutOfFuel
+                remaining -= 1
+                return 0
+
+            return zero
+        if t is Compose:
+            outer = build(e.outer)
+            inners = tuple(build(g) for g in e.inners)
+            if len(inners) == 1:
+                (first,) = inners
+
+                def compose1(xs: tuple[int, ...]) -> int:
+                    nonlocal remaining
+                    if remaining == 0:
+                        raise _OutOfFuel
+                    remaining -= 1
+                    return outer((first(xs),))
+
+                return compose1
+            if len(inners) == 2:
+                first, second = inners
+
+                def compose2(xs: tuple[int, ...]) -> int:
+                    nonlocal remaining
+                    if remaining == 0:
+                        raise _OutOfFuel
+                    remaining -= 1
+                    return outer((first(xs), second(xs)))
+
+                return compose2
+
+            def compose(xs: tuple[int, ...]) -> int:
+                nonlocal remaining
+                if remaining == 0:
+                    raise _OutOfFuel
+                remaining -= 1
+                return outer(tuple([g(xs) for g in inners]))
+
+            return compose
+        if t is PrimRec:
+            base = build(e.base)
+            step = build(e.step)
+
+            def primrec(xs: tuple[int, ...]) -> int:
+                nonlocal remaining
+                if remaining == 0:
+                    raise _OutOfFuel
+                remaining -= 1
+                front = xs[:-1]
+                acc = base(front)
+                for level in range(xs[-1]):
+                    acc = step(front + (level, acc))
+                return acc
+
+            return primrec
+        body_expr = e.body
+        body = build(body_expr)
+
+        def mu(xs: tuple[int, ...]) -> int:
+            nonlocal remaining
+            if remaining == 0:
+                raise _OutOfFuel
+            remaining -= 1
+            candidate = 0
+            while body(xs + (candidate,)) != 0:
+                candidate += 1
+            if on_mu is not None:
+                on_mu(body_expr, xs, candidate)
+            return candidate
+
+        return mu
+
+    root = build(expr)
+
+    def run(args: tuple[int, ...], fuel: int) -> tuple[int | None, int]:
+        nonlocal remaining
+        remaining = fuel
+        try:
+            value = root(args)
+        except _OutOfFuel:
+            return None, fuel
+        return value, fuel - remaining
+
+    return run
+
+
+class CompiledTerm:
+    """A term validated and compiled once, for evaluating many times.
+
+    ``evaluate_costed`` accepts one in place of a term and then checks
+    only the call's arguments and fuel.  A compiled term runs one
+    evaluation at a time; do not share it between threads.
+    """
+
+    __slots__ = ("arity", "_run")
+
+    def __init__(self, expr: RecExpr) -> None:
+        self.arity = arity(expr)
+        self._run = _compile(expr, None)
 
 
 def evaluate(
@@ -297,22 +404,25 @@ def evaluate(
     re-check least-witness claims from outside.
     """
     argv = _check_call(expr, args, fuel)
-    value, consumed = _run(expr, argv, fuel, on_mu)
+    value, consumed = _compile(expr, on_mu)(argv, fuel)
     if value is None:
         return FuelExhausted(consumed=consumed)
     return value
 
 
 def evaluate_costed(
-    expr: RecExpr, args: Iterable[int], fuel: int
+    expr: RecExpr | CompiledTerm, args: Iterable[int], fuel: int
 ) -> tuple[int | None, int]:
     """Like ``evaluate`` but also reports fuel spent: (value, consumed).
 
     A None value means exhaustion, with all granted fuel consumed.  The
-    cooperative scheduler uses this to account work precisely.
+    cooperative scheduler uses this to account work precisely, passing a
+    ``CompiledTerm`` so its term is validated and compiled only once.
     """
-    argv = _check_call(expr, args, fuel)
-    return _run(expr, argv, fuel, None)
+    if not isinstance(expr, CompiledTerm):
+        expr = CompiledTerm(expr)
+    argv = _check_args(expr.arity, args, fuel)
+    return expr._run(argv, fuel)
 
 
 def char_value(expr: RecExpr, args: Iterable[int], fuel: int) -> int | FuelExhausted:

@@ -6,7 +6,8 @@ three searchers race, interleaved deterministically:
 * T1 evaluates G(fixed, y) for y = 0, 1, 2, ... under a fuel meter,
   looking for the least y with value 0.  It never skips a candidate, so
   a diverging candidate stalls it — which is the correct reading of
-  minimization's side condition.
+  minimization's side condition.  It validates and compiles G once per
+  run, into a ``CompiledTerm``, and evaluates every candidate with it.
 * T2 runs a designated machine under the loop oracle, watching for the
   machine to return to an earlier configuration.
 * T3 walks the canonical certificate enumeration, checking each
@@ -47,7 +48,14 @@ from typing import Iterator
 from .machine import Machine
 from .oracle import LoopDetected, OracleRun, replay_verify
 from .proofs import Certificate, Statement, check_certificate, enumerate_certificates
-from .recfun import FuelExhausted, RecExpr, arity, evaluate_costed, oracle_evaluate
+from .recfun import (
+    CompiledTerm,
+    FuelExhausted,
+    RecExpr,
+    arity,
+    evaluate_costed,
+    oracle_evaluate,
+)
 
 
 @dataclass(frozen=True)
@@ -162,6 +170,7 @@ class TrioRun:
         self.t1_granted = 0
         self.t1_spent = 0
         self.t1_evaluated = 0
+        self._t1_g = CompiledTerm(task.g_body)
         self._t1_candidate = 0
         # The largest fuel known to be too little for the current
         # candidate, and its finished (value, cost) once known.
@@ -184,7 +193,7 @@ class TrioRun:
         quantum = self.task.quantum
         self.t1_granted += quantum
         available = self.t1_granted - self.t1_spent
-        g = self.task.g_body
+        g = self._t1_g
         fixed = self.task.fixed_args
         while available > 0:
             if self._t1_pending is None:

@@ -141,6 +141,15 @@ def test_eval_prints_the_value(capsys):
     assert captured.out == "1\n"
 
 
+def test_eval_prints_values_past_the_integer_conversion_limit(tmp_path, capsys):
+    program = tmp_path / "s.rf"
+    program.write_text("def s = succ\n", encoding="utf-8")
+    code = main(["eval", "--program", str(program), "--name", "s", "--args", "9" * 4300])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == "1" + "0" * 4300 + "\n"
+
+
 def test_eval_reports_fuel_exhaustion_without_failing(capsys):
     code = main(
         ["eval", "--program", f"{FIXTURES}/find_zero.rf", "--name", "g", "--args", "2", "--fuel", "3"]

@@ -6,6 +6,7 @@ drives randomly generated expressions through the pair.
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from haltlab.recfun import (
     SUCC,
     ZERO,
     ArityError,
+    CompiledTerm,
     Compose,
     FuelExhausted,
     Mu,
@@ -89,6 +91,7 @@ def test_terms_built_in_code_are_held_to_the_nesting_bound():
             arity,
             lambda t: evaluate(t, (0,), GENEROUS),
             lambda t: evaluate_costed(t, (0,), GENEROUS),
+            CompiledTerm,
             lambda t: oracle_evaluate(t, (0,), GENEROUS),
         ):
             with pytest.raises(ArityError, match=f"deeper than {MAX_TERM_DEPTH}") as err:
@@ -101,6 +104,15 @@ def test_wrong_argument_count_is_an_arity_error():
         evaluate(ADD, (1, 2, 3), 100)
     with pytest.raises(ArityError):
         oracle_evaluate(ADD, (1,), 100)
+    with pytest.raises(ArityError, match="out of range"):
+        CompiledTerm(Proj(4, 3))
+    # A compiled term checks each call's arguments and fuel as a plain term is checked.
+    compiled = CompiledTerm(ADD)
+    for args, fuel in (((1, 2, 3), 100), ((1, -2), 100), ((1, 2), -1)):
+        with pytest.raises(ValueError) as plain:
+            evaluate_costed(ADD, args, fuel)
+        with pytest.raises(type(plain.value), match=re.escape(str(plain.value))):
+            evaluate_costed(compiled, args, fuel)
 
 
 ARITHMETIC_TABLE = [
@@ -191,6 +203,27 @@ def test_char_value_enforces_the_boolean_convention():
     assert err.value.value == 5
     exhausted = char_value(Mu(Compose(SUCC, (Proj(2, 2),))), (0,), 50)
     assert exhausted == FuelExhausted(consumed=50)
+
+
+def test_costed_fuel_is_the_least_fuel_the_reference_needs():
+    """evaluate_costed's cost is exact against the reference, compiled or not."""
+    rng = random.Random(0xC057)
+    fuel = 5000
+    for index in range(500):
+        n = rng.randint(1, 3)
+        expr = gen_expr(rng, n, rng.randint(0, 4))
+        args = tuple(rng.randint(0, 8) for _ in range(n))
+        value, cost = evaluate_costed(expr, args, fuel)
+        if value is None:
+            assert cost == fuel, index
+            assert oracle_evaluate(expr, args, fuel) == FuelExhausted(consumed=fuel), index
+        else:
+            assert oracle_evaluate(expr, args, cost) == value, index
+            assert oracle_evaluate(expr, args, cost - 1) == FuelExhausted(consumed=cost - 1), index
+        # One compiled term, run again and again, and through exhaustion.
+        compiled = CompiledTerm(expr)
+        for f in (0, cost // 2, cost, fuel):
+            assert evaluate_costed(compiled, args, f) == evaluate_costed(expr, args, f), (index, f)
 
 
 def test_differential_corpus_small():

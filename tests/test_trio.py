@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from haltlab import recfun
 from haltlab.oracle import LoopDetected
 from haltlab.proofs import Certificate
 from haltlab.recfun import (
@@ -400,3 +401,27 @@ def test_lookahead_when_a_cost_exceeds_what_t1_can_be_granted():
             args = (runner._t1_candidate,)
             beyond += evaluate_costed(g, args, reach)[0] is None
     assert beyond >= 5
+
+
+def test_t1_validates_its_term_once_per_run(monkeypatch):
+    real_arity = recfun.arity
+    calls = 0
+
+    def counting_arity(expr):
+        nonlocal calls
+        calls += 1
+        return real_arity(expr)
+
+    seen = {}
+    for budget in (100, 2000):
+        task = make_task(SUCC_OF_Y, right_runner(), quantum=5, budget=budget, max_cert_size=0)
+        calls = 0
+        monkeypatch.setattr(recfun, "arity", counting_arity)
+        runner = TrioRun(task)
+        verdict = runner.run()
+        monkeypatch.undo()
+        assert verdict == Exhausted(rounds=budget)
+        seen[budget] = (calls, runner._t1_candidate)
+    # Twenty times the candidates, the same number of term checks.
+    assert seen[2000][1] > 10 * seen[100][1]
+    assert seen[2000][0] == seen[100][0]
