@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from .dsl import load_program, parse_natural
 from .experiments import (
@@ -26,11 +27,12 @@ from .experiments import (
     classify_all,
     falsify_demo,
     falsify_text,
-    report_to_csv,
     run_fixture_suite,
     suite_text,
     suite_to_csv,
     summary_text,
+    validate_sweep,
+    write_report_csv,
 )
 from .recfun import FuelExhausted, evaluate
 
@@ -106,15 +108,13 @@ def _cmd_classify(ns: argparse.Namespace) -> int:
     cap = None if ns.history_cap == 0 else ns.history_cap
     if ns.budget < 0 or (cap is not None and cap < 1):
         raise ValueError("budget must be nonnegative and history cap positive")
-    report = classify_all(mclass, ns.budget, cap, input_symbols)
-    body = report_to_csv(report)
-    if ns.out:
-        with open(ns.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(body)
-        print(summary_text(report), end="")
-    else:
-        sys.stdout.write(body)
-        print(summary_text(report), end="", file=sys.stderr)
+    validate_sweep(mclass, input_symbols)
+    # Open --out before the sweep, so an unwritable path fails at once.
+    out = open(ns.out, "w", encoding="utf-8", newline="") if ns.out else nullcontext(sys.stdout)
+    with out as handle:
+        report = classify_all(mclass, ns.budget, cap, input_symbols)
+        write_report_csv(report, handle)
+    print(summary_text(report), end="", file=sys.stdout if ns.out else sys.stderr)
     return 0 if report.all_audits_passed else AUDIT_ERROR
 
 

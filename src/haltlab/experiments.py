@@ -7,12 +7,16 @@ and each machine is classified under the loop oracle from the blank tape
 parameter away).  A run reads only the transitions it consults, so
 machines that agree on those share one oracle run: the sweep walks the
 tree-normal-form prefix tree of Brady (1983) depth first, runs each
-distinct consulted prefix once, and writes every machine below a leaf
-straight to its canonical row, while every verdict is still audited by
-replay against its own machine.  Classification reports are plain CSV
-with a fixed schema and no timestamps, so two runs of the same
-experiment produce byte-identical files; wall-clock time lives only in
-the human-readable summary beside the data.
+distinct consulted prefix once, and writes the leaf's outcome at the
+canonical index of every machine below it, while every halting or
+looping verdict is still audited by replay against its own machine.
+Rows are addressed by canonical index and kept as columns (ids,
+outcomes, audit flags); a row's machine id is derived from its index,
+and a row object is built only when one is read.  Classification
+reports are plain CSV with a fixed schema and no timestamps, written row
+by row, so two runs of the same experiment produce byte-identical files;
+wall-clock time lives only in the human-readable summary beside the
+data.
 
 The module also owns the two standing demonstrations: the bounded-tape
 family, where the oracle provably cannot miss, and the right-runner,
@@ -26,14 +30,17 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 import time
+from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import TextIO
 
 from .dsl import ParseError, _significant_lines, load_program, parse_natural
-from .machine import LEFT, Machine, RIGHT, Transition
+from .machine import LEFT, Machine, RIGHT, Transition, initial_id
 from .oracle import (
     BudgetExceeded,
     Halted,
@@ -111,6 +118,13 @@ def _slots_and_options(
     return slots, options
 
 
+def validate_sweep(mclass: MachineClass, input_symbols: tuple[int, ...] = ()) -> None:
+    """Refuse a sweep before any work: a class beyond ``CLASS_SIZE_GUARD``,
+    or an input symbol outside the class's alphabet."""
+    _slots_and_options(mclass)
+    initial_id(Machine(mclass.state_count, mclass.alphabet_size, {}), input_symbols)
+
+
 def enumerate_class(mclass: MachineClass) -> Iterator[Machine]:
     """Every machine in the class, in canonical order, start state 0.
 
@@ -127,6 +141,15 @@ def enumerate_class(mclass: MachineClass) -> Iterator[Machine]:
         yield Machine(mclass.state_count, mclass.alphabet_size, table)
 
 
+def _rule_code(rule: Transition | None) -> str:
+    """One slot of the compact encoding: write digit, move letter, next
+    state letter, or --- when absent."""
+    if rule is None:
+        return "---"
+    write, move, nxt = rule
+    return f"{write}{move}{chr(65 + nxt)}"
+
+
 def machine_code(machine: Machine) -> str:
     """Canonical one-token encoding of a transition table.
 
@@ -137,23 +160,51 @@ def machine_code(machine: Machine) -> str:
     it serves as the machine's identifier in reports.
     """
     if machine.alphabet_size <= 10 and machine.state_count <= 26:
-        states = []
-        for state in range(machine.state_count):
-            cells = []
-            for symbol in range(machine.alphabet_size):
-                rule = machine.transitions.get((state, symbol))
-                if rule is None:
-                    cells.append("---")
-                else:
-                    write, move, nxt = rule
-                    cells.append(f"{write}{move}{chr(65 + nxt)}")
-            states.append("".join(cells))
-        return "_".join(states)
+        return "_".join(
+            "".join(
+                _rule_code(machine.transitions.get((state, symbol)))
+                for symbol in range(machine.alphabet_size)
+            )
+            for state in range(machine.state_count)
+        )
     parts = [
         f"{state}.{symbol}:{write}{move}{nxt}"
         for (state, symbol), (write, move, nxt) in sorted(machine.transitions.items())
     ]
     return f"s{machine.state_count}a{machine.alphabet_size};" + ";".join(parts)
+
+
+class MachineIds(Sequence[str]):
+    """The ``machine_code`` of every machine in a class, by canonical index.
+
+    Canonical order is state-major, so a machine's code is its states'
+    segments joined by ``_``, where a state's segment concatenates the
+    codes of its slots.  The radix**alphabet segments are built once;
+    the id at index k reads k's digits in base len(segments), and
+    iteration is the product of the segments, one per state.  Every
+    class within ``CLASS_SIZE_GUARD`` has at most 10 symbols and 26
+    states, so the compact encoding always applies.
+    """
+
+    def __init__(self, mclass: MachineClass) -> None:
+        _, options = _slots_and_options(mclass)
+        codes = [_rule_code(rule) for rule in options]
+        self._segments = ["".join(t) for t in product(codes, repeat=mclass.alphabet_size)]
+        self._states = mclass.state_count
+
+    def __len__(self) -> int:
+        return len(self._segments) ** self._states
+
+    def __getitem__(self, index: int) -> str:
+        index = range(len(self))[index]
+        parts = []
+        for _ in range(self._states):
+            index, digit = divmod(index, len(self._segments))
+            parts.append(self._segments[digit])
+        return "_".join(reversed(parts))
+
+    def __iter__(self) -> Iterator[str]:
+        return map("_".join, product(self._segments, repeat=self._states))
 
 
 @dataclass(frozen=True)
@@ -163,31 +214,76 @@ class ClassificationRow:
     audit_passed: bool | None
 
 
+class ReportRows(Sequence[ClassificationRow]):
+    """A report's rows as three columns: ids, outcomes and audit flags.
+
+    Read-only; ``len``, indexing and iteration yield ``ClassificationRow``
+    values built on demand.  A sweep passes ``MachineIds`` for the ids and
+    shares each leaf's outcome object across its rows, so no row object
+    exists until one is asked for.
+    """
+
+    def __init__(
+        self,
+        ids: Sequence[str],
+        outcomes: Sequence[RunOutcome],
+        audits: Sequence[bool | None],
+    ) -> None:
+        self.ids = ids
+        self.outcomes = outcomes
+        self.audits = audits
+
+    def __len__(self) -> int:
+        return len(self.outcomes)
+
+    def __getitem__(self, index: int) -> ClassificationRow:
+        index = range(len(self))[index]
+        return ClassificationRow(self.ids[index], self.outcomes[index], self.audits[index])
+
+    def __iter__(self) -> Iterator[ClassificationRow]:
+        return map(ClassificationRow, self.ids, self.outcomes, self.audits)
+
+
 @dataclass
 class ClassificationReport:
+    """One classification run.  ``rows`` may be given as any sequence of
+    ``ClassificationRow``; it is kept as ``ReportRows`` columns."""
+
     mclass: MachineClass
     budget: int
     history_cap: int | None
     input_symbols: tuple[int, ...]
-    rows: list[ClassificationRow]
+    rows: Sequence[ClassificationRow]
     wall_seconds: float
     oracle_runs: int = 0
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.rows, ReportRows):
+            rows = list(self.rows)
+            self.rows = ReportRows(
+                [row.machine_id for row in rows],
+                [row.outcome for row in rows],
+                [row.audit_passed for row in rows],
+            )
+
     @property
     def counts(self) -> dict[str, int]:
-        out = {"halted": 0, "loop_detected": 0, "budget_exceeded": 0}
-        for row in self.rows:
-            out[_outcome_tag(row.outcome)] += 1
-        return out
+        by_type = Counter(map(type, self.rows.outcomes))
+        halted, looped = by_type[Halted], by_type[LoopDetected]
+        return {
+            "halted": halted,
+            "loop_detected": looped,
+            "budget_exceeded": len(self.rows) - halted - looped,
+        }
 
     @property
     def max_halt_steps(self) -> int | None:
-        steps = [row.outcome.steps for row in self.rows if isinstance(row.outcome, Halted)]
-        return max(steps) if steps else None
+        halts = (o.steps for o in self.rows.outcomes if isinstance(o, Halted))
+        return max(halts, default=None)
 
     @property
     def all_audits_passed(self) -> bool:
-        return all(row.audit_passed is not False for row in self.rows)
+        return False not in self.rows.audits
 
 
 def _outcome_tag(outcome: RunOutcome) -> str:
@@ -215,13 +311,17 @@ def classify_all(
     one child per option; the "absent" child has the node's own table,
     so it reuses this outcome without running again.  Any other outcome
     is a leaf shared by every choice of the undecided slots, and each of
-    those machines lands at its canonical index, the mixed-radix number
-    its option indices spell in enumeration order.  The report's rows
-    share the leaves' outcome objects, and ``oracle_runs`` counts the
-    runs made, one per distinct consulted prefix, not one per machine.
+    those machines has a canonical index, the mixed-radix number its
+    option indices spell in enumeration order.  ``oracle_runs`` counts
+    the runs made, one per distinct consulted prefix, not one per
+    machine.
 
-    Halted and LoopDetected rows are re-checked by oracle-free replay,
-    each against its own machine; rows that merely ran out of budget
+    Rows are addressed by canonical index and kept as columns: a leaf
+    writes its one outcome object at each of its indices, and machine
+    ids are derived from the index on demand (``MachineIds``), so no
+    row object is built.  Halted and LoopDetected leaves build each of
+    their machines and re-check the verdict by oracle-free replay
+    against it; rows that merely ran out of budget build no machine and
     carry no audit flag.  Rows appear in enumeration order.
     """
     input_symbols = tuple(input_symbols)
@@ -229,7 +329,8 @@ def classify_all(
     position = {slot: k for k, slot in enumerate(slots)}
     radix = len(options)
     weights = [radix ** (len(slots) - 1 - k) for k in range(len(slots))]
-    rows: list = [None] * mclass.size
+    outcomes: list = [None] * mclass.size
+    audits: list[bool | None] = [None] * mclass.size
     runs = 0
 
     def build(chosen: Iterable[tuple[int, int]]) -> Machine:
@@ -251,13 +352,16 @@ def classify_all(
                         explore({**decided, k: d}, None if d else outcome)
                     return
         choices = [(decided[k],) if k in decided else range(radix) for k in range(len(slots))]
-        for digits in product(*choices):
-            machine = build(enumerate(digits))
-            audit = None
-            if isinstance(outcome, (Halted, LoopDetected)):
-                audit = replay_verify(machine, input_symbols, outcome)
-            index = sum(d * w for d, w in zip(digits, weights))
-            rows[index] = ClassificationRow(machine_code(machine), outcome, audit)
+        # The leaf's indices in ascending order, one weighted digit at a time.
+        indices = [0]
+        for choice, weight in zip(choices, weights):
+            indices = [i + d * weight for i in indices for d in choice]
+        for index in indices:
+            outcomes[index] = outcome
+        if isinstance(outcome, (Halted, LoopDetected)):
+            for index, digits in zip(indices, product(*choices)):
+                machine = build(enumerate(digits))
+                audits[index] = replay_verify(machine, input_symbols, outcome)
 
     started = time.perf_counter()
     explore({}, None)
@@ -267,29 +371,61 @@ def classify_all(
         budget=budget,
         history_cap=history_cap,
         input_symbols=input_symbols,
-        rows=rows,
+        rows=ReportRows(MachineIds(mclass), outcomes, audits),
         wall_seconds=wall,
         oracle_runs=runs,
     )
 
 
-def report_to_csv(report: ClassificationReport) -> str:
-    """Render the fixed-schema CSV body.  Nothing non-deterministic goes in."""
+def _csv_text(fields: Iterable) -> str:
+    """One CSV line, quoted as ``csv`` quotes it."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in report.rows:
-        outcome = row.outcome
-        if isinstance(outcome, LoopDetected):
-            steps = outcome.first_index + outcome.period
-            first, period = outcome.first_index, outcome.period
-        else:
-            steps = outcome.steps
-            first = period = ""
-        audit = "" if row.audit_passed is None else str(row.audit_passed).lower()
-        writer.writerow(
-            [row.machine_id, _outcome_tag(outcome), steps, first, period, audit]
-        )
+    csv.writer(buffer, lineterminator="\n").writerow(fields)
+    return buffer.getvalue()
+
+
+# Characters that can make ``csv`` quote a field.
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')
+
+
+def write_report_csv(report: ClassificationReport, stream: TextIO) -> None:
+    """Write the fixed-schema CSV to ``stream`` as its rows are rendered.
+    Nothing non-deterministic goes in.
+
+    A row's fields after its id depend only on its outcome object and
+    audit flag, so each such pair is rendered once and shared.
+    """
+    rows = report.rows
+    rendered: dict[tuple[int, bool | None], str] = {}
+
+    def lines() -> Iterator[str]:
+        yield _csv_text(CSV_COLUMNS)
+        for machine_id, outcome, audit in zip(rows.ids, rows.outcomes, rows.audits):
+            tail = rendered.get((id(outcome), audit))
+            if tail is None:
+                if isinstance(outcome, LoopDetected):
+                    first, period = outcome.first_index, outcome.period
+                    steps = first + period
+                else:
+                    steps, first, period = outcome.steps, "", ""
+                flag = "" if audit is None else str(audit).lower()
+                tail = _csv_text((_outcome_tag(outcome), steps, first, period, flag))
+                rendered[(id(outcome), audit)] = tail
+            if _CSV_SPECIAL.search(machine_id):
+                machine_id = _csv_text((machine_id,))[:-1]
+            yield machine_id + "," + tail
+
+    # One write per few thousand lines: a write per line costs more than
+    # rendering the line.
+    pending = lines()
+    while chunk := "".join(islice(pending, 4096)):
+        stream.write(chunk)
+
+
+def report_to_csv(report: ClassificationReport) -> str:
+    """The fixed-schema CSV body as one string (see ``write_report_csv``)."""
+    buffer = io.StringIO()
+    write_report_csv(report, buffer)
     return buffer.getvalue()
 
 
@@ -339,6 +475,8 @@ def cell_growth_profile(
     truncates the profile (one that halts exactly on a mark repeats that
     sample before the profile stops).
     """
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     if samples < 2:
         raise ValueError("need at least two sample points")
     marks = sorted({round(i * budget / (samples - 1)) for i in range(samples)})

@@ -13,6 +13,7 @@ random expressions.  Run them when cutting a release, not on every
 editing loop.
 """
 
+import hashlib
 import random
 import time
 
@@ -49,6 +50,9 @@ def test_two_state_class_sweep_is_audited_fast_and_reproducible():
         assert walls[-1] < 120.0, f"run took {walls[-1]:.1f}s"
 
     assert csvs[0] == csvs[1] == csvs[2]
+    # Pinned from the per-machine sweep, before rows were kept as columns.
+    digest = hashlib.sha256(csvs[0].encode("utf-8")).hexdigest()
+    assert digest == "04af6a66866458c717dbfba5c3a71da0d0b4ef79735b8f5d59040e436f5b4758"
     assert report.all_audits_passed
     audited = [row for row in report.rows if isinstance(row.outcome, (Halted, LoopDetected))]
     assert audited and all(row.audit_passed for row in audited)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from haltlab import cli
 from haltlab.cli import main
 
 FIXTURES = "fixtures/trio"
@@ -55,6 +56,24 @@ def test_unwritable_out_files_are_usage_errors(tmp_path, capsys):
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and str(missing) in lines[0]
+
+
+def test_classify_checks_out_and_arguments_before_sweeping(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep ran before the arguments were checked")
+
+    monkeypatch.setattr(cli, "classify_all", refuse)
+    target = tmp_path / "kept.csv"
+    target.write_text("previous report\n", encoding="utf-8")
+    for argv in (
+        ["--states", "1", "--symbols", "2", "--out", str(tmp_path / "missing" / "x.csv")],
+        ["--states", "3", "--symbols", "3", "--out", str(target)],
+        ["--states", "1", "--symbols", "2", "--input", "1,2", "--out", str(target)],
+    ):
+        assert main(["classify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+    assert target.read_text(encoding="utf-8") == "previous report\n"
 
 
 def test_classify_validates_flag_values(capsys):

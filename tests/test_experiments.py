@@ -1,5 +1,6 @@
 """Enumeration, classification, demonstration, and fixture-suite tests."""
 
+import hashlib
 import random
 import shutil
 
@@ -20,6 +21,7 @@ from haltlab.experiments import (
     ClassificationRow,
     FixtureError,
     MachineClass,
+    MachineIds,
     bouncer,
     cell_growth_profile,
     classify_all,
@@ -98,7 +100,7 @@ def test_one_state_class_has_no_loops_from_blank_tape():
     assert report.max_halt_steps == 0
 
 
-def _per_machine_csv(mclass, budget, history_cap, input_symbols):
+def _per_machine_rows(mclass, budget, history_cap, input_symbols):
     """The sweep as one oracle run per machine: the reference for the tree."""
     rows = []
     for machine in enumerate_class(mclass):
@@ -107,8 +109,7 @@ def _per_machine_csv(mclass, budget, history_cap, input_symbols):
         if isinstance(outcome, (Halted, LoopDetected)):
             audit = replay_verify(machine, input_symbols, outcome)
         rows.append(ClassificationRow(machine_code(machine), outcome, audit))
-    report = ClassificationReport(mclass, budget, history_cap, input_symbols, rows, 0.0)
-    return report_to_csv(report)
+    return rows
 
 
 @pytest.mark.parametrize(
@@ -133,8 +134,42 @@ def test_prefix_tree_sweep_matches_one_run_per_machine(
 ):
     mclass = MachineClass(states, symbols)
     report = classify_all(mclass, budget, history_cap, input_symbols)
-    assert report_to_csv(report) == _per_machine_csv(mclass, budget, history_cap, input_symbols)
+    expected = _per_machine_rows(mclass, budget, history_cap, input_symbols)
+    reference = ClassificationReport(mclass, budget, history_cap, input_symbols, expected, 0.0)
+    assert report_to_csv(report) == report_to_csv(reference)
     assert 1 <= report.oracle_runs <= mclass.size
+
+    # The rows view yields the reference rows however it is read.
+    rows = report.rows
+    walked = list(rows)
+    assert len(rows) == len(expected) == mclass.size
+    assert walked == expected
+    for k in {0, 1, len(expected) // 2, len(expected) - 1}:
+        assert rows[k] == expected[k]
+        assert rows[k - len(expected)] == expected[k - len(expected)]
+    for k in (len(expected), -len(expected) - 1):
+        with pytest.raises(IndexError):
+            rows[k]
+    assert [row.machine_id for row in rows] == [machine_code(m) for m in enumerate_class(mclass)]
+
+    # The column-reading summaries agree with a walk over the rows.
+    tags = ["halted" if isinstance(r.outcome, Halted) else "loop_detected"
+            if isinstance(r.outcome, LoopDetected) else "budget_exceeded" for r in walked]
+    assert report.counts == {tag: tags.count(tag) for tag in report.counts}
+    halts = [r.outcome.steps for r in walked if isinstance(r.outcome, Halted)]
+    assert report.max_halt_steps == (max(halts) if halts else None)
+    assert report.all_audits_passed == all(r.audit_passed is not False for r in walked)
+
+
+def test_compact_ids_cover_every_class_within_the_guard():
+    """The verbose machine code needs more than 10 symbols or 26 states;
+    the smallest such classes are already past the guard."""
+    for mclass in (MachineClass(1, 11), MachineClass(27, 1)):
+        assert mclass.size > CLASS_SIZE_GUARD
+        with pytest.raises(ValueError, match="beyond the guard"):
+            MachineIds(mclass)
+        with pytest.raises(ValueError, match="beyond the guard"):
+            classify_all(mclass, budget=1)
 
 
 def test_two_state_sweep_shares_runs_between_machines():
@@ -143,6 +178,9 @@ def test_two_state_sweep_shares_runs_between_machines():
     assert report.counts == {"halted": 1165, "loop_detected": 274, "budget_exceeded": 5122}
     assert report.all_audits_passed
     assert "oracle runs: 297 for 6561 machines" in summary_text(report)
+    # The CSV bytes of the per-machine sweep, pinned before rows became columns.
+    digest = hashlib.sha256(report_to_csv(report).encode("utf-8")).hexdigest()
+    assert digest == "a4e4be1dc6010618733d6230b5e1a2b1d4de063795f861c1eefa13b2101de35c"
 
 
 def test_classification_csv_is_stable():
@@ -162,6 +200,7 @@ def test_csv_row_shapes_for_all_outcomes():
         ClassificationRow("------", Halted(steps=0, final_id=None), True),
         ClassificationRow("0RB---_0LA---", LoopDetected(first_index=0, period=2), True),
         ClassificationRow("1RA---", BudgetExceeded(steps=9, last_id=None), None),
+        ClassificationRow('odd,"id"', BudgetExceeded(steps=9, last_id=None), None),
     ]
     report = ClassificationReport(
         mclass=MachineClass(2, 2),
@@ -176,6 +215,7 @@ def test_csv_row_shapes_for_all_outcomes():
         "------,halted,0,,,true",
         "0RB---_0LA---,loop_detected,2,0,2,true",
         "1RA---,budget_exceeded,9,,,",
+        '"odd,""id""",budget_exceeded,9,,,',
     ]
     summary = summary_text(report)
     assert "wall time" in summary
@@ -185,6 +225,11 @@ def test_csv_row_shapes_for_all_outcomes():
 def test_growth_profile_of_the_runner_is_the_identity():
     profile = cell_growth_profile(right_runner(), (), budget=100, samples=5)
     assert profile == [(0, 0), (25, 25), (50, 50), (75, 75), (100, 100)]
+
+
+def test_growth_profile_refuses_a_negative_budget():
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        cell_growth_profile(right_runner(), (), budget=-5, samples=4)
 
 
 def test_growth_profile_of_a_shuttler_is_flat():
