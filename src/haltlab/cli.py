@@ -106,9 +106,7 @@ def _cmd_classify(ns: argparse.Namespace) -> int:
     mclass = MachineClass(ns.states, ns.symbols)
     input_symbols = _parse_naturals(ns.input, "--input")
     cap = None if ns.history_cap == 0 else ns.history_cap
-    if ns.budget < 0 or (cap is not None and cap < 1):
-        raise ValueError("budget must be nonnegative and history cap positive")
-    validate_sweep(mclass, input_symbols)
+    validate_sweep(mclass, input_symbols, budget=ns.budget, history_cap=cap)
     # Open --out before the sweep, so an unwritable path fails at once.
     out = open(ns.out, "w", encoding="utf-8", newline="") if ns.out else nullcontext(sys.stdout)
     with out as handle:

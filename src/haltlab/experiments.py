@@ -18,12 +18,13 @@ by row, so two runs of the same experiment produce byte-identical files;
 wall-clock time lives only in the human-readable summary beside the
 data.
 
-The module also owns the two standing demonstrations: the bounded-tape
-family, where the oracle provably cannot miss, and the right-runner,
-where it provably cannot answer — the machine writes a fresh cell every
-step, never revisits a configuration, and every budget ends in
-BudgetExceeded.  The second one is the counterexample to any hope that
-self-termination detection alone decides halting.
+The module also holds the right-runner demonstration, where the oracle
+provably cannot answer — the machine writes a fresh cell every step,
+never revisits a configuration, and every budget ends in
+BudgetExceeded.  It is the counterexample to any hope that
+self-termination detection alone decides halting.  Its counterpart, the
+bounded-tape family where the oracle provably cannot miss, lives with
+the tests (``tests/helpers.confined_machine`` and the acceptance suite).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from pathlib import Path
 from typing import TextIO
 
 from .dsl import ParseError, _significant_lines, load_program, parse_natural
-from .machine import LEFT, Machine, RIGHT, Transition, initial_id
+from .machine import LEFT, Machine, RIGHT, Transition
 from .oracle import (
     BudgetExceeded,
     Halted,
@@ -118,11 +119,25 @@ def _slots_and_options(
     return slots, options
 
 
-def validate_sweep(mclass: MachineClass, input_symbols: tuple[int, ...] = ()) -> None:
-    """Refuse a sweep before any work: a class beyond ``CLASS_SIZE_GUARD``,
-    or an input symbol outside the class's alphabet."""
+def validate_sweep(
+    mclass: MachineClass,
+    input_symbols: tuple[int, ...] = (),
+    *,
+    budget: int = DEFAULT_BUDGET,
+    history_cap: int | None = DEFAULT_HISTORY_CAP,
+) -> None:
+    """Refuse a sweep before any work, with the arguments and defaults of
+    ``classify_all``.
+
+    Raises ValueError for a class beyond ``CLASS_SIZE_GUARD``, an input
+    symbol outside the class's alphabet, a negative budget or a negative
+    history cap.  Past the guard, each rule is asked of its owner: one
+    oracle run of the class's empty table, which halts at once, checks
+    the budget, the cap and the input as every run of the sweep would.
+    """
     _slots_and_options(mclass)
-    initial_id(Machine(mclass.state_count, mclass.alphabet_size, {}), input_symbols)
+    empty = Machine(mclass.state_count, mclass.alphabet_size, {})
+    run_with_oracle(empty, input_symbols, budget, history_cap)
 
 
 def enumerate_class(mclass: MachineClass) -> Iterator[Machine]:
@@ -286,12 +301,17 @@ class ClassificationReport:
         return False not in self.rows.audits
 
 
-def _outcome_tag(outcome: RunOutcome) -> str:
-    if isinstance(outcome, Halted):
-        return "halted"
+def _outcome_fields(outcome: RunOutcome) -> tuple[str, int, int | str, int | str]:
+    """(tag, steps, loop first, loop period) as reports print an outcome.
+
+    A loop's steps are its first index plus its period, the step that
+    closed it; the loop fields are empty for the other outcomes.
+    """
     if isinstance(outcome, LoopDetected):
-        return "loop_detected"
-    return "budget_exceeded"
+        first, period = outcome.first_index, outcome.period
+        return "loop_detected", first + period, first, period
+    tag = "halted" if isinstance(outcome, Halted) else "budget_exceeded"
+    return tag, outcome.steps, "", ""
 
 
 def classify_all(
@@ -301,6 +321,10 @@ def classify_all(
     input_symbols: tuple[int, ...] = (),
 ) -> ClassificationReport:
     """Run the oracle over the whole class and audit every verdict.
+
+    Bad arguments are refused before any work: ``validate_sweep`` checks
+    the class size, the budget, the history cap and the input first, so
+    a ValueError comes before any column is allocated.
 
     A deterministic run, its fingerprint confirmations and its final
     halt lookup read only the slots it consults, so every machine that
@@ -325,10 +349,9 @@ def classify_all(
     carry no audit flag.  Rows appear in enumeration order.
     """
     input_symbols = tuple(input_symbols)
+    validate_sweep(mclass, input_symbols, budget=budget, history_cap=history_cap)
     slots, options = _slots_and_options(mclass)
-    position = {slot: k for k, slot in enumerate(slots)}
     radix = len(options)
-    weights = [radix ** (len(slots) - 1 - k) for k in range(len(slots))]
     outcomes: list = [None] * mclass.size
     audits: list[bool | None] = [None] * mclass.size
     runs = 0
@@ -346,16 +369,17 @@ def classify_all(
             runs += 1
             if isinstance(outcome, Halted):
                 final = outcome.final_id
-                k = position[(final.state, final.symbol_at(final.head))]
+                # Slots are state-major, so this is the halting slot's index.
+                k = final.state * mclass.alphabet_size + final.symbol_at(final.head)
                 if k not in decided:
                     for d in range(radix):
                         explore({**decided, k: d}, None if d else outcome)
                     return
         choices = [(decided[k],) if k in decided else range(radix) for k in range(len(slots))]
-        # The leaf's indices in ascending order, one weighted digit at a time.
+        # The leaf's indices in ascending order, one digit at a time.
         indices = [0]
-        for choice, weight in zip(choices, weights):
-            indices = [i + d * weight for i in indices for d in choice]
+        for choice in choices:
+            indices = [i * radix + d for i in indices for d in choice]
         for index in indices:
             outcomes[index] = outcome
         if isinstance(outcome, (Halted, LoopDetected)):
@@ -403,13 +427,8 @@ def write_report_csv(report: ClassificationReport, stream: TextIO) -> None:
         for machine_id, outcome, audit in zip(rows.ids, rows.outcomes, rows.audits):
             tail = rendered.get((id(outcome), audit))
             if tail is None:
-                if isinstance(outcome, LoopDetected):
-                    first, period = outcome.first_index, outcome.period
-                    steps = first + period
-                else:
-                    steps, first, period = outcome.steps, "", ""
                 flag = "" if audit is None else str(audit).lower()
-                tail = _csv_text((_outcome_tag(outcome), steps, first, period, flag))
+                tail = _csv_text((*_outcome_fields(outcome), flag))
                 rendered[(id(outcome), audit)] = tail
             if _CSV_SPECIAL.search(machine_id):
                 machine_id = _csv_text((machine_id,))[:-1]
@@ -530,8 +549,7 @@ def falsify_text(report: FalsifyReport) -> str:
         f"{'budget':>10}  {'outcome':<16} {'steps':>10}",
     ]
     for budget, outcome in zip(report.budgets, report.outcomes):
-        tag = _outcome_tag(outcome)
-        steps = outcome.steps if not isinstance(outcome, LoopDetected) else outcome.first_index + outcome.period
+        tag, steps, _, _ = _outcome_fields(outcome)
         lines.append(f"{budget:>10}  {tag:<16} {steps:>10}")
     lines.append("")
     profile = " ".join(f"{step}:{cells}" for step, cells in report.profile)

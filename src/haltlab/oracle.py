@@ -31,7 +31,10 @@ stays separate because it folds each step's cell change into the
 fingerprint and probes the history as it goes; routing it through the
 kernel would cost a call per step on the path that decides every
 verdict.  ``machine.step`` remains the independent reference both
-are tested against.
+are tested against.  A run that stops without a decided outcome asks
+``PlainRun.stopped()`` for it, which is how ``run`` and
+``run_with_oracle`` end; ``replay_verify`` judges its claims itself,
+because a capped BudgetExceeded may stop on a halting configuration.
 
 The one verdict this module does not give is "runs forever without
 repeating".  Machines that grow their tape monotonically (the
@@ -169,6 +172,13 @@ class PlainRun:
         scanned = self.tape.get(self.head, BLANK)
         return (self.state * self._m + scanned) not in self._table
 
+    def stopped(self) -> Halted | BudgetExceeded:
+        """The outcome of stopping here: Halted when no rule applies, else
+        BudgetExceeded.  Finding that no rule applies executes nothing."""
+        if self.at_halt():
+            return Halted(self.steps, self.snapshot())
+        return BudgetExceeded(self.steps, self.snapshot())
+
     def execute(self, n: int) -> bool:
         table = self._table
         m = self._m
@@ -198,11 +208,12 @@ class OracleRun(PlainRun):
     sticky.  ``history_len`` counts the configurations the history
     accounts for: s + 1 after s executed steps (the initial
     configuration is recorded before step 0), less the repeat once a
-    loop is detected.  ``max_history`` caps it, and ``advance`` decides
-    that stop: it runs no further than step ``max_history`` and reports
-    reaching that step as a capped BudgetExceeded, unless the step
-    closed a loop.  The cap counts every step, also after a translated
-    cycle is proven and the run stops storing fingerprints.
+    loop is detected.  ``max_history``, None or a natural, caps it (a
+    negative cap raises ValueError), and ``advance`` decides that stop:
+    it runs no further than step ``max_history`` and reports reaching
+    that step as a capped BudgetExceeded, unless the step closed a loop.
+    The cap counts every step, also after a translated cycle is proven
+    and the run stops storing fingerprints.
     ``translation`` is the proven cycle's witness.  Steps go through
     ``advance`` only: the inherited ``execute`` skips the fingerprint.
     """
@@ -213,6 +224,8 @@ class OracleRun(PlainRun):
         input_symbols: Iterable[int] = (),
         max_history: int | None = None,
     ) -> None:
+        if max_history is not None and max_history < 0:
+            raise ValueError("history cap must be nonnegative")
         self.machine = machine
         self.input = tuple(input_symbols)
         super().__init__(machine, self.input)
@@ -426,9 +439,7 @@ def run(machine: Machine, input_symbols: Iterable[int] = (), budget: int = 10_00
         raise ValueError("budget must be nonnegative")
     plain = PlainRun(machine, input_symbols)
     plain.execute(budget)
-    if plain.at_halt():
-        return Halted(plain.steps, plain.snapshot())
-    return BudgetExceeded(plain.steps, plain.snapshot())
+    return plain.stopped()
 
 
 def run_with_oracle(
@@ -446,12 +457,7 @@ def run_with_oracle(
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     oracle = OracleRun(machine, input_symbols, max_history=max_history)
-    outcome = oracle.advance(budget)
-    if outcome is not None:
-        return outcome
-    if oracle.at_halt():
-        return Halted(oracle.steps, oracle.snapshot())
-    return BudgetExceeded(oracle.steps, oracle.snapshot())
+    return oracle.advance(budget) or oracle.stopped()
 
 
 def replay_verify(machine: Machine, input_symbols: Iterable[int], outcome: RunOutcome) -> bool:

@@ -37,9 +37,7 @@ from .recfun import (
     ADD,
     Compose,
     FuelExhausted,
-    Mu,
     MUL,
-    PrimRec,
     Proj,
     RecExpr,
     Succ,
@@ -101,29 +99,36 @@ class Certificate:
         return f"{self.rule}({','.join(c.compact() for c in self.children)})"
 
 
-def _depends(expr: RecExpr) -> frozenset[int]:
+def _depends(expr: RecExpr, seen: dict[int, frozenset[int]] | None = None) -> frozenset[int]:
     """Conservative set of argument positions (1-based) the term may read.
 
     Projections read exactly one position; composition translates the
     outer function's demands through the inner ones; recursion and
     minimization are treated as reading everything.  Positions outside
     the result provably never influence the value or the convergence of
-    the term.
+    the term.  ``seen`` holds the answer for each node already analysed,
+    by identity, so a subterm shared by reference costs one visit however
+    often it is inlined.
     """
+    if seen is None:
+        seen = {}
+    out = seen.get(id(expr))
+    if out is not None:
+        return out
     t = type(expr)
     if t is Zero:
-        return frozenset()
-    if t is Succ:
-        return frozenset((1,))
-    if t is Proj:
-        return frozenset((expr.i,))
-    if t is Compose:
-        needed = _depends(expr.outer)
-        out: set[int] = set()
-        for j in needed:
-            out |= _depends(expr.inners[j - 1])
-        return frozenset(out)
-    return frozenset(range(1, arity(expr) + 1))
+        out = frozenset()
+    elif t is Succ:
+        out = frozenset((1,))
+    elif t is Proj:
+        out = frozenset((expr.i,))
+    elif t is Compose:
+        needed = _depends(expr.outer, seen)
+        out = frozenset().union(*[_depends(expr.inners[j - 1], seen) for j in needed])
+    else:
+        out = frozenset(range(1, arity(expr) + 1))
+    seen[id(expr)] = out
+    return out
 
 
 def check_certificate(cert: Certificate, stmt: Statement) -> bool:

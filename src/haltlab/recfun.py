@@ -28,7 +28,7 @@ that.  A ``CompiledTerm`` keeps the validated, compiled term for a caller
 that evaluates one term many times, such as the trio's value search;
 ``evaluate_costed`` accepts it in place of a term.  The two evaluators
 share the semantics, the fuel convention and the argument check
-``_check_call``, and deliberately no evaluation code.
+``_check_args``, and deliberately no evaluation code.
 """
 
 from __future__ import annotations
@@ -127,15 +127,22 @@ def arity(expr: RecExpr) -> int:
     Raises ArityError naming the offending subterm on any mismatch:
     projection index out of range, composition width disagreement, a
     step function whose arity is not base + 2, or constructors nested
-    more than ``MAX_TERM_DEPTH`` deep.
+    more than ``MAX_TERM_DEPTH`` deep.  A subterm shared by reference, as
+    a definition inlined by name is, is validated once per depth it is
+    met at, so the work follows the distinct nodes, not the unfolded tree.
     """
-    return _arity(expr, "term", 1)
+    return _arity(expr, "term", 1, {})
 
 
-def _arity(expr: RecExpr, path: str, depth: int) -> int:
+def _arity(expr: RecExpr, path: str, depth: int, seen: dict[tuple[int, int], int]) -> int:
+    """The arity of ``expr`` met ``depth`` constructors deep at ``path``.
+
+    ``seen`` holds the arity of each composite node already validated,
+    by (identity, depth): the depth bound makes the answer depend on the
+    depth, and a node met again at a depth it passed at passes again.
+    """
     if depth > MAX_TERM_DEPTH:
         raise ArityError(path, f"term nests deeper than {MAX_TERM_DEPTH}")
-    depth += 1
     t = type(expr)
     if t is Zero or t is Succ:
         return 1
@@ -143,29 +150,39 @@ def _arity(expr: RecExpr, path: str, depth: int) -> int:
         if expr.n < 1 or not 1 <= expr.i <= expr.n:
             raise ArityError(path, f"proj {expr.i} {expr.n} is out of range")
         return expr.n
+    key = (id(expr), depth)
+    n = seen.get(key)
+    if n is None:
+        n = seen[key] = _composite_arity(expr, path, depth + 1, seen)
+    return n
+
+
+def _composite_arity(expr: RecExpr, path: str, depth: int, seen: dict[tuple[int, int], int]) -> int:
+    """``_arity`` of a node that is not a leaf; its subterms sit ``depth`` deep."""
+    t = type(expr)
     if t is Compose:
         if not expr.inners:
             raise ArityError(path, "compose needs at least one inner function")
-        outer = _arity(expr.outer, path + ".outer", depth)
+        outer = _arity(expr.outer, path + ".outer", depth, seen)
         if outer != len(expr.inners):
             raise ArityError(
                 path,
                 f"outer arity {outer} does not match {len(expr.inners)} inner functions",
             )
-        widths = [_arity(g, f"{path}.inners[{j}]", depth) for j, g in enumerate(expr.inners)]
+        widths = [_arity(g, f"{path}.inners[{j}]", depth, seen) for j, g in enumerate(expr.inners)]
         if len(set(widths)) != 1:
             raise ArityError(path, f"inner functions disagree on arity: {widths}")
         return widths[0]
     if t is PrimRec:
-        base = _arity(expr.base, path + ".base", depth)
-        step_n = _arity(expr.step, path + ".step", depth)
+        base = _arity(expr.base, path + ".base", depth, seen)
+        step_n = _arity(expr.step, path + ".step", depth, seen)
         if step_n != base + 2:
             raise ArityError(
                 path, f"step arity {step_n} must be base arity {base} plus 2"
             )
         return base + 1
     if t is Mu:
-        body = _arity(expr.body, path + ".body", depth)
+        body = _arity(expr.body, path + ".body", depth, seen)
         return body - 1
     raise ArityError(path, f"unknown expression node {expr!r}")
 
@@ -174,13 +191,8 @@ class _OutOfFuel(Exception):
     pass
 
 
-def _check_call(expr: RecExpr, args: Iterable[int], fuel: int) -> tuple[int, ...]:
-    """Validate a call, the term first and then its arguments; return the arguments."""
-    return _check_args(arity(expr), args, fuel)
-
-
 def _check_args(n: int, args: Iterable[int], fuel: int) -> tuple[int, ...]:
-    """Check a call of an already validated term of arity ``n``."""
+    """Check a call of a term of arity ``n``, validated by ``arity``; return the arguments."""
     argv = tuple(args)
     if len(argv) != n:
         raise ArityError("term", f"expected {n} arguments, got {len(argv)}")
@@ -203,7 +215,7 @@ def oracle_evaluate(
     expr: RecExpr, args: Iterable[int], fuel: int
 ) -> int | FuelExhausted:
     """Naive structural evaluation with the standard fuel convention."""
-    argv = _check_call(expr, args, fuel)
+    argv = _check_args(arity(expr), args, fuel)
     tank = [fuel]
 
     def spend() -> None:
@@ -257,11 +269,19 @@ def _compile(
 ) -> Callable[[tuple[int, ...], int], tuple[int | None, int]]:
     """Compile a validated term into ``run(args, fuel) -> (value, consumed)``.
 
-    A run that exhausts its fuel returns (None, fuel).
+    A run that exhausts its fuel returns (None, fuel).  A subterm shared
+    by reference gets one closure, however many parents call it.
     """
     remaining = 0
+    built: dict[int, Callable[[tuple[int, ...]], int]] = {}
 
     def build(e: RecExpr) -> Callable[[tuple[int, ...]], int]:
+        node = built.get(id(e))
+        if node is None:
+            node = built[id(e)] = make(e)
+        return node
+
+    def make(e: RecExpr) -> Callable[[tuple[int, ...]], int]:
         t = type(e)
         if t is Proj:
             i = e.i - 1
@@ -362,6 +382,9 @@ def _compile(
         return mu
 
     root = build(expr)
+    # build and make refer to each other, a cycle only the garbage
+    # collector frees; emptied, it keeps no closure alive past this call.
+    built.clear()
 
     def run(args: tuple[int, ...], fuel: int) -> tuple[int | None, int]:
         nonlocal remaining
@@ -403,7 +426,7 @@ def evaluate(
     receiving (body, outer arguments, witness); audits use it to
     re-check least-witness claims from outside.
     """
-    argv = _check_call(expr, args, fuel)
+    argv = _check_args(arity(expr), args, fuel)
     value, consumed = _compile(expr, on_mu)(argv, fuel)
     if value is None:
         return FuelExhausted(consumed=consumed)

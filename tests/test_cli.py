@@ -69,6 +69,8 @@ def test_classify_checks_out_and_arguments_before_sweeping(tmp_path, monkeypatch
         ["--states", "1", "--symbols", "2", "--out", str(tmp_path / "missing" / "x.csv")],
         ["--states", "3", "--symbols", "3", "--out", str(target)],
         ["--states", "1", "--symbols", "2", "--input", "1,2", "--out", str(target)],
+        ["--states", "1", "--symbols", "2", "--history-cap", "-5", "--out", str(target)],
+        ["--states", "1", "--symbols", "2", "--budget", "-5", "--out", str(target)],
     ):
         assert main(["classify", *argv]) == 2
         captured = capsys.readouterr()

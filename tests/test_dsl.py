@@ -1,6 +1,7 @@
 """Definition-file tests: parsing, printing, round-trips, diagnostics."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,20 @@ from haltlab.dsl import (
     parse_program,
 )
 from haltlab.machine import LEFT, RIGHT, Machine
-from haltlab.recfun import MONUS, ArityError, Compose, Proj, Succ, Zero, const_expr, evaluate
+from haltlab.proofs import _depends
+from haltlab.recfun import (
+    MONUS,
+    ArityError,
+    CompiledTerm,
+    Compose,
+    Proj,
+    Succ,
+    Zero,
+    const_expr,
+    evaluate,
+    evaluate_costed,
+    oracle_evaluate,
+)
 from tests.helpers import gen_expr, gen_machine
 
 FIXTURES = "fixtures/trio"
@@ -205,6 +219,23 @@ def test_machine_diagnostics():
         parse_program(header + "0 0 -> 0 R 0\n0 0 -> 1 R 0\n")
 
 
+def test_shared_definitions_cost_their_distinct_nodes():
+    # Each line uses the previous definition twice, so the unfolded term
+    # doubles with every line: d60 has about 2**60 nodes as a tree.
+    lines = ["def add = primrec (proj 1 1) (compose succ (proj 3 3))", "def d0 = proj 1 1"]
+    lines += [f"def d{i} = compose add (d{i - 1} d{i - 1})" for i in range(1, 61)]
+    started = time.perf_counter()
+    functions = parse_program("\n".join(lines) + "\n").functions
+    term = functions["d60"]
+    compiled = CompiledTerm(term)
+    assert compiled.arity == 1
+    assert _depends(term) == frozenset({1})
+    assert evaluate_costed(compiled, (1,), 10**5) == (None, 10**5)
+    assert time.perf_counter() - started < 1.0
+    # d_k(x) = 2**k * x, by both evaluators.
+    assert evaluate(functions["d3"], (5,), 10**4) == oracle_evaluate(functions["d3"], (5,), 10**4) == 40
+
+
 @pytest.mark.parametrize(
     "name, text, reason",
     [
@@ -221,6 +252,11 @@ def test_machine_diagnostics():
         ("m.tm", "states=1 alphabet=0 start=0\n", "header values out of range"),
         ("m.tm", "states=2 alphabet=2 start=2\n", "header values out of range"),
         ("m.tm", "states=1 alphabet=2 start=0\n0 0 -> 1 R\n", "expected 'state symbol -> write move nextState'"),
+        (
+            "m.tm",
+            "states=2 alphabet=2 start=0\n0 0 -> 1 R 1\n\n# past the header\n1 0 -> 0 L 2\n",
+            r"line 5, column 1: transition \(1, 0\): next state 2 out of range",
+        ),
     ],
 )
 def test_function_and_machine_file_diagnostics(tmp_path, name, text, reason):

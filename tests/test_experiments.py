@@ -3,6 +3,7 @@
 import hashlib
 import random
 import shutil
+import tracemalloc
 
 import pytest
 
@@ -36,6 +37,7 @@ from haltlab.experiments import (
     suite_text,
     suite_to_csv,
     summary_text,
+    validate_sweep,
 )
 from haltlab.recfun import MONUS, Compose, Proj, const_expr
 from haltlab.trio import UNDETERMINED
@@ -445,3 +447,28 @@ def test_expectation_mismatches_fail_the_suite(tmp_path):
     assert not report.ok
     assert report.mismatches == ["wrong: expected found, got proved"]
     assert "MISMATCH" in suite_text(report)
+
+
+@pytest.mark.parametrize(
+    "bad, reason",
+    [
+        ({"budget": -1}, "budget must be nonnegative"),
+        ({"history_cap": -1}, "history cap must be nonnegative"),
+        ({"input_symbols": (7,)}, "input symbol 7 at cell 0 out of range"),
+    ],
+)
+def test_a_sweep_refuses_bad_arguments_before_any_work(bad, reason):
+    # The 3x2 class has 4,826,809 machines: two columns of that many
+    # pointers would take tens of megabytes.
+    mclass = MachineClass(3, 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=reason):
+            classify_all(mclass, **bad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    input_symbols = bad.pop("input_symbols", ())
+    with pytest.raises(ValueError, match=reason):
+        validate_sweep(mclass, input_symbols, **bad)

@@ -96,6 +96,34 @@ def test_negative_budget_is_rejected():
         run_with_oracle(runner(), (), budget=-1)
 
 
+def test_a_negative_history_cap_is_refused_by_the_oracle():
+    for refuse in (
+        lambda: OracleRun(runner(), (), max_history=-1),
+        lambda: run_with_oracle(runner(), (), 10, max_history=-1),
+        lambda: classify_all(MachineClass(1, 2), budget=10, history_cap=-1),
+    ):
+        with pytest.raises(ValueError, match="history cap must be nonnegative"):
+            refuse()
+
+
+def test_both_runs_stop_alike_at_the_edges_of_the_budget():
+    # Input pins a 1 at cell 2, so the machine halts after exactly 2 steps.
+    m, tape = runner(), (0, 0, 1)
+    halted = Halted(2, InstantaneousDescription.from_tape(0, 2, {0: 1, 1: 1, 2: 1}))
+    expected = {
+        0: BudgetExceeded(0, initial_id(m, tape)),
+        1: BudgetExceeded(1, InstantaneousDescription.from_tape(0, 1, {0: 1, 2: 1})),
+        2: halted,  # found on the last budgeted step
+        3: halted,
+    }
+    for budget, outcome in expected.items():
+        assert run(m, tape, budget) == outcome
+        assert run_with_oracle(m, tape, budget) == outcome
+    assert PlainRun(m, tape).stopped() == expected[0]
+    empty = Machine(1, 2, {})
+    assert run(empty, (), 0) == run_with_oracle(empty, (), 0) == Halted(0, initial_id(empty))
+
+
 def test_plain_run_never_claims_loops():
     assert run(ping_pong(), (), budget=50) == BudgetExceeded(
         steps=50, last_id=InstantaneousDescription.from_tape(0, 0, {})

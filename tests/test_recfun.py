@@ -99,6 +99,22 @@ def test_terms_built_in_code_are_held_to_the_nesting_bound():
             assert err.value.path == deepest
 
 
+def test_a_shared_subterm_is_held_to_the_bound_at_every_depth_it_sits():
+    def wrap(term, times):
+        for _ in range(times):
+            term = Compose(Succ(), (term,))
+        return term
+
+    # 151 constructors deep: it fits beside the root, not 58 levels lower.
+    shared = wrap(Zero(), 150)
+    with pytest.raises(ArityError, match=f"deeper than {MAX_TERM_DEPTH}") as unshared:
+        arity(Compose(ADD, (wrap(Zero(), 150), wrap(wrap(Zero(), 150), 58))))
+    with pytest.raises(ArityError, match=f"deeper than {MAX_TERM_DEPTH}") as err:
+        arity(Compose(ADD, (shared, wrap(shared, 58))))
+    assert err.value.path == unshared.value.path
+    assert arity(Compose(ADD, (shared, shared))) == 1
+
+
 def test_wrong_argument_count_is_an_arity_error():
     with pytest.raises(ArityError):
         evaluate(ADD, (1, 2, 3), 100)
