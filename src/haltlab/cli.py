@@ -161,10 +161,7 @@ def _decimal(value: int) -> str:
 
 
 def _cmd_demo(ns: argparse.Namespace) -> int:
-    budgets = _parse_naturals(ns.budgets, "--budgets")
-    if not budgets:
-        raise ValueError("--budgets must name at least one budget")
-    report = falsify_demo(budgets)
+    report = falsify_demo(_parse_naturals(ns.budgets, "--budgets"))
     print(falsify_text(report), end="")
     ok = report.all_budget_exceeded and report.strictly_monotone
     return 0 if ok else AUDIT_ERROR

@@ -22,7 +22,11 @@ The module also holds the right-runner demonstration, where the oracle
 provably cannot answer — the machine writes a fresh cell every step,
 never revisits a configuration, and every budget ends in
 BudgetExceeded.  It is the counterexample to any hope that
-self-termination detection alone decides halting.  Its counterpart, the
+self-termination detection alone decides halting.  One coasting oracle
+run answers its whole budget ladder and samples its growth profile.
+``cell_growth_profile`` stays oracle-free: it is the reference the
+tests hold that profile to, as ``run_with_oracle`` at each budget is
+the reference for the rungs.  The demonstration's counterpart, the
 bounded-tape family where the oracle provably cannot miss, lives with
 the tests (``tests/helpers.confined_machine`` and the acceptance suite).
 """
@@ -46,6 +50,7 @@ from .oracle import (
     BudgetExceeded,
     Halted,
     LoopDetected,
+    OracleRun,
     PlainRun,
     RunOutcome,
     replay_verify,
@@ -480,6 +485,14 @@ def bouncer() -> Machine:
     return Machine(2, 2, {(0, 0): (0, RIGHT, 1), (1, 0): (0, LEFT, 0)})
 
 
+def _profile_marks(budget: int, samples: int) -> list[int]:
+    """The distinct steps a growth profile samples, evenly spaced over
+    0..budget and ascending."""
+    if samples < 2:
+        raise ValueError("need at least two sample points")
+    return sorted({round(i * budget / (samples - 1)) for i in range(samples)})
+
+
 def cell_growth_profile(
     machine: Machine,
     input_symbols: tuple[int, ...] = (),
@@ -492,16 +505,14 @@ def cell_growth_profile(
     cell count means no configuration can recur.  Runs without the
     oracle, once, sampling at each mark; a machine that halts early just
     truncates the profile (one that halts exactly on a mark repeats that
-    sample before the profile stops).
+    sample before the profile stops).  It is the oracle-free reference
+    the tests hold ``falsify_demo``'s profile to.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    if samples < 2:
-        raise ValueError("need at least two sample points")
-    marks = sorted({round(i * budget / (samples - 1)) for i in range(samples)})
     plain = PlainRun(machine, input_symbols)
     profile = []
-    for mark in marks:
+    for mark in _profile_marks(budget, samples):
         halted = plain.execute(mark - plain.steps)
         profile.append((plain.steps, len(plain.tape)))
         if halted:
@@ -526,20 +537,40 @@ class FalsifyReport:
 def falsify_demo(
     budgets: tuple[int, ...] = (100, 1_000, 10_000, 100_000, 1_000_000),
 ) -> FalsifyReport:
-    """Run the right-runner under the oracle at each budget.
+    """The right-runner under the oracle at each budget of a ladder.
 
-    The recorder is given room for every configuration (its entries cost
-    constant memory), so the BudgetExceeded outcomes are genuine step
-    budget exhaustions, not cap artifacts.  The cell-count profile over
-    the largest budget supplies the strict-growth evidence.
+    Refuses an empty ladder and any negative budget before any work.
+    One oracle run serves every rung and the profile: it advances in
+    slices through the distinct budgets and the 10 marks that
+    ``cell_growth_profile`` samples over the largest budget.  At a
+    rung the outcome is read as ``run_with_oracle`` reads it at that
+    budget, so each rung's outcome equals that of its own run; a
+    repeated budget shares one outcome.  At a mark the sample is the
+    step and the non-blank cell count, exact also while the run coasts
+    through a proven translated cycle, since each skipped period writes
+    its cells.  The right-runner never halts or repeats, so no mark is
+    cut short.  The recorder is given room for every configuration (its
+    entries cost constant memory), so the BudgetExceeded outcomes are
+    genuine step budget exhaustions, not cap artifacts.
     """
-    machine = right_runner()
-    outcomes = [run_with_oracle(machine, (), b, max_history=None) for b in budgets]
-    top = max(budgets) if budgets else DEFAULT_BUDGET
-    profile = cell_growth_profile(machine, (), top, samples=10)
+    budgets = tuple(budgets)
+    if not budgets:
+        raise ValueError("the ladder needs at least one budget")
+    if min(budgets) < 0:
+        raise ValueError("budget must be nonnegative")
+    marks = _profile_marks(max(budgets), 10)
+    oracle = OracleRun(right_runner(), (), max_history=None)
+    at: dict[int, RunOutcome] = {}
+    profile = []
+    for point in sorted({*budgets, *marks}):
+        outcome = oracle.advance(point - oracle.steps)
+        if point in budgets:
+            at[point] = outcome or oracle.stopped()
+        if point in marks:
+            profile.append((oracle.steps, len(oracle.tape)))
     counts = [cells for _, cells in profile]
     monotone = all(a < b for a, b in zip(counts, counts[1:]))
-    return FalsifyReport(tuple(budgets), outcomes, profile, monotone)
+    return FalsifyReport(budgets, [at[b] for b in budgets], profile, monotone)
 
 
 def falsify_text(report: FalsifyReport) -> str:

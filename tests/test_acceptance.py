@@ -53,6 +53,8 @@ def test_two_state_class_sweep_is_audited_fast_and_reproducible():
     # Pinned from the per-machine sweep, before rows were kept as columns.
     digest = hashlib.sha256(csvs[0].encode("utf-8")).hexdigest()
     assert digest == "04af6a66866458c717dbfba5c3a71da0d0b4ef79735b8f5d59040e436f5b4758"
+    # One less than S(2,2) = 6: the halt is an absent rule, not a step.
+    assert report.max_halt_steps == 5
     assert report.all_audits_passed
     audited = [row for row in report.rows if isinstance(row.outcome, (Halted, LoopDetected))]
     assert audited and all(row.audit_passed for row in audited)

@@ -1,5 +1,7 @@
 """Command-line interface tests: subcommands, exit codes, output routing."""
 
+import hashlib
+
 import pytest
 
 from haltlab import cli
@@ -218,6 +220,21 @@ def test_demo_falsify_reports_the_ladder(capsys):
     assert code == 0
     assert "right-runner" in captured.out
     assert "budget_exceeded" in captured.out
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ([], "99d46ce142ab97278d435d4782b23bd460e4f93d51f15886549742e998e60886"),
+        (["--budgets", "10000,100,100,0"],
+         "77a9e11d11d706a07a96aaa973ae36f2a1748dd7b412a8b78127945343a95093"),
+    ],
+)
+def test_demo_falsify_prints_the_pinned_text(argv, digest, capsys):
+    """Pinned from the demo that ran each rung and the profile on its own."""
+    assert main(["demo", "falsify", *argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_demo_falsify_validates_budgets(capsys):

@@ -16,6 +16,7 @@ from haltlab.oracle import (
     run,
     run_with_oracle,
 )
+from haltlab import experiments
 from haltlab.experiments import (
     CLASS_SIZE_GUARD,
     ClassificationReport,
@@ -183,6 +184,9 @@ def test_two_state_sweep_shares_runs_between_machines():
     # The CSV bytes of the per-machine sweep, pinned before rows became columns.
     digest = hashlib.sha256(report_to_csv(report).encode("utf-8")).hexdigest()
     assert digest == "a4e4be1dc6010618733d6230b5e1a2b1d4de063795f861c1eefa13b2101de35c"
+    # S(2,2) = 6 counts the halting transition; here a halt is an absent
+    # rule and executes no step, so the class's longest halt reads 5.
+    assert report.max_halt_steps == 5
 
 
 def test_classification_csv_is_stable():
@@ -282,6 +286,32 @@ def test_falsify_demo_small_ladder():
     text = falsify_text(report)
     assert "budget_exceeded" in text
     assert "10" in text and "50" in text
+
+
+@pytest.mark.parametrize(
+    "budgets",
+    [(100, 1_000, 10_000, 100_000), (10_000, 100, 100, 0), (0,), (7,), (12_345, 3)],
+)
+def test_falsify_demo_matches_a_run_per_rung_and_the_plain_profile(budgets):
+    report = falsify_demo(budgets)
+    assert report.budgets == budgets
+    assert report.outcomes == [
+        run_with_oracle(right_runner(), (), b, max_history=None) for b in budgets
+    ]
+    assert report.profile == cell_growth_profile(right_runner(), (), max(budgets), 10)
+    assert report.all_budget_exceeded
+    assert report.strictly_monotone
+
+
+@pytest.mark.parametrize("budgets", [(), (100, -1), (-1,)])
+def test_falsify_demo_refuses_a_bad_ladder_before_any_work(budgets, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the ladder was run")
+
+    monkeypatch.setattr(experiments, "OracleRun", no_run)
+    monkeypatch.setattr(experiments, "run_with_oracle", no_run)
+    with pytest.raises(ValueError):
+        falsify_demo(budgets)
 
 
 def test_fixture_loading_resolves_files_and_expectations():
