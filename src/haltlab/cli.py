@@ -19,7 +19,7 @@ import argparse
 import sys
 from contextlib import nullcontext
 
-from .dsl import load_program, parse_natural
+from .dsl import load_program, parse_naturals
 from .experiments import (
     DEFAULT_BUDGET,
     DEFAULT_HISTORY_CAP,
@@ -92,14 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_naturals(text: str, what: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    values = []
-    for part in parts:
-        value = parse_natural(part)
-        if value is None:
-            raise ValueError(f"{what} must be comma-separated naturals, got {part!r}")
-        values.append(value)
-    return tuple(values)
+    return parse_naturals(
+        text, lambda item: ValueError(f"{what} must be comma-separated naturals, got {item!r}")
+    )
 
 
 def _cmd_classify(ns: argparse.Namespace) -> int:

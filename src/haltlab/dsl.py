@@ -43,6 +43,7 @@ raises anything else.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -80,6 +81,21 @@ def parse_natural(text: str) -> int | None:
         return int(text)
     except ValueError:
         return None
+
+
+def parse_naturals(text: str, refuse: Callable[[str], Exception]) -> tuple[int, ...]:
+    """The naturals of a comma-separated list, each item stripped.
+
+    Blank text is the empty list.  Otherwise every item must be a
+    natural, so the empty items of ``1,,0``, ``100,`` and ``,5`` are
+    refused too: the first bad item is passed to ``refuse``, and the
+    exception it returns is raised.
+    """
+    items = [item.strip() for item in text.split(",")] if text.strip() else []
+    values = tuple(map(parse_natural, items))
+    if None in values:
+        raise refuse(items[values.index(None)])
+    return values
 
 
 class ParseError(ValueError):

@@ -10,13 +10,12 @@ tree-normal-form prefix tree of Brady (1983) depth first, runs each
 distinct consulted prefix once, and writes the leaf's outcome at the
 canonical index of every machine below it, while every halting or
 looping verdict is still audited by replay against its own machine.
-Rows are addressed by canonical index and kept as columns (ids,
-outcomes, audit flags); a row's machine id is derived from its index,
-and a row object is built only when one is read.  Classification
-reports are plain CSV with a fixed schema and no timestamps, written row
-by row, so two runs of the same experiment produce byte-identical files;
-wall-clock time lives only in the human-readable summary beside the
-data.
+A report is two columns addressed by canonical index, outcomes and
+audit flags; a machine's id is derived from its index, so no id is
+stored and no row object is ever built.  Classification reports are
+plain CSV with a fixed schema and no timestamps, written row by row, so
+two runs of the same experiment produce byte-identical files; wall-clock
+time lives only in the human-readable summary beside the data.
 
 The module also holds the right-runner demonstration, where the oracle
 provably cannot answer — the machine writes a fresh cell every step,
@@ -35,7 +34,6 @@ from __future__ import annotations
 
 import csv
 import io
-import re
 import time
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
@@ -44,7 +42,7 @@ from itertools import islice, product
 from pathlib import Path
 from typing import TextIO
 
-from .dsl import ParseError, _significant_lines, load_program, parse_natural
+from .dsl import ParseError, _significant_lines, load_program, parse_natural, parse_naturals
 from .machine import LEFT, Machine, RIGHT, Transition
 from .oracle import (
     BudgetExceeded,
@@ -227,83 +225,42 @@ class MachineIds(Sequence[str]):
         return map("_".join, product(self._segments, repeat=self._states))
 
 
-@dataclass(frozen=True)
-class ClassificationRow:
-    machine_id: str
-    outcome: RunOutcome
-    audit_passed: bool | None
-
-
-class ReportRows(Sequence[ClassificationRow]):
-    """A report's rows as three columns: ids, outcomes and audit flags.
-
-    Read-only; ``len``, indexing and iteration yield ``ClassificationRow``
-    values built on demand.  A sweep passes ``MachineIds`` for the ids and
-    shares each leaf's outcome object across its rows, so no row object
-    exists until one is asked for.
-    """
-
-    def __init__(
-        self,
-        ids: Sequence[str],
-        outcomes: Sequence[RunOutcome],
-        audits: Sequence[bool | None],
-    ) -> None:
-        self.ids = ids
-        self.outcomes = outcomes
-        self.audits = audits
-
-    def __len__(self) -> int:
-        return len(self.outcomes)
-
-    def __getitem__(self, index: int) -> ClassificationRow:
-        index = range(len(self))[index]
-        return ClassificationRow(self.ids[index], self.outcomes[index], self.audits[index])
-
-    def __iter__(self) -> Iterator[ClassificationRow]:
-        return map(ClassificationRow, self.ids, self.outcomes, self.audits)
-
-
 @dataclass
 class ClassificationReport:
-    """One classification run.  ``rows`` may be given as any sequence of
-    ``ClassificationRow``; it is kept as ``ReportRows`` columns."""
+    """One classification run, as columns addressed by canonical index:
+    ``outcomes[k]`` and ``audits[k]`` belong to the machine ``ids[k]``."""
 
     mclass: MachineClass
     budget: int
     history_cap: int | None
     input_symbols: tuple[int, ...]
-    rows: Sequence[ClassificationRow]
+    outcomes: Sequence[RunOutcome]
+    audits: Sequence[bool | None]
     wall_seconds: float
     oracle_runs: int = 0
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.rows, ReportRows):
-            rows = list(self.rows)
-            self.rows = ReportRows(
-                [row.machine_id for row in rows],
-                [row.outcome for row in rows],
-                [row.audit_passed for row in rows],
-            )
+    @property
+    def ids(self) -> MachineIds:
+        return MachineIds(self.mclass)
 
     @property
     def counts(self) -> dict[str, int]:
-        by_type = Counter(map(type, self.rows.outcomes))
+        by_type = Counter(map(type, self.outcomes))
         halted, looped = by_type[Halted], by_type[LoopDetected]
         return {
             "halted": halted,
             "loop_detected": looped,
-            "budget_exceeded": len(self.rows) - halted - looped,
+            "budget_exceeded": len(self.outcomes) - halted - looped,
         }
 
     @property
     def max_halt_steps(self) -> int | None:
-        halts = (o.steps for o in self.rows.outcomes if isinstance(o, Halted))
+        halts = (o.steps for o in self.outcomes if isinstance(o, Halted))
         return max(halts, default=None)
 
     @property
     def all_audits_passed(self) -> bool:
-        return False not in self.rows.audits
+        return False not in self.audits
 
 
 def _outcome_fields(outcome: RunOutcome) -> tuple[str, int, int | str, int | str]:
@@ -345,13 +302,13 @@ def classify_all(
     the runs made, one per distinct consulted prefix, not one per
     machine.
 
-    Rows are addressed by canonical index and kept as columns: a leaf
-    writes its one outcome object at each of its indices, and machine
-    ids are derived from the index on demand (``MachineIds``), so no
-    row object is built.  Halted and LoopDetected leaves build each of
-    their machines and re-check the verdict by oracle-free replay
-    against it; rows that merely ran out of budget build no machine and
-    carry no audit flag.  Rows appear in enumeration order.
+    The report holds two columns addressed by canonical index: a leaf
+    writes its one outcome object at each of its indices in
+    ``outcomes``, and ``report.ids`` derives each machine's id from its
+    index (``MachineIds``).  Halted and LoopDetected leaves build each
+    of their machines and re-check the verdict by oracle-free replay
+    against it, writing the result in ``audits``; machines that merely
+    ran out of budget build no machine and keep the audit flag None.
     """
     input_symbols = tuple(input_symbols)
     validate_sweep(mclass, input_symbols, budget=budget, history_cap=history_cap)
@@ -400,7 +357,8 @@ def classify_all(
         budget=budget,
         history_cap=history_cap,
         input_symbols=input_symbols,
-        rows=ReportRows(MachineIds(mclass), outcomes, audits),
+        outcomes=outcomes,
+        audits=audits,
         wall_seconds=wall,
         oracle_runs=runs,
     )
@@ -413,30 +371,27 @@ def _csv_text(fields: Iterable) -> str:
     return buffer.getvalue()
 
 
-# Characters that can make ``csv`` quote a field.
-_CSV_SPECIAL = re.compile(r'[,"\r\n]')
-
-
 def write_report_csv(report: ClassificationReport, stream: TextIO) -> None:
     """Write the fixed-schema CSV to ``stream`` as its rows are rendered.
     Nothing non-deterministic goes in.
 
     A row's fields after its id depend only on its outcome object and
-    audit flag, so each such pair is rendered once and shared.
+    audit flag, so each such pair is rendered once and shared.  Ids are
+    compact machine codes, which ``csv`` never quotes.  Raises
+    ValueError when the columns do not cover the class, one entry per
+    machine.
     """
-    rows = report.rows
     rendered: dict[tuple[int, bool | None], str] = {}
 
     def lines() -> Iterator[str]:
         yield _csv_text(CSV_COLUMNS)
-        for machine_id, outcome, audit in zip(rows.ids, rows.outcomes, rows.audits):
+        columns = zip(report.ids, report.outcomes, report.audits, strict=True)
+        for machine_id, outcome, audit in columns:
             tail = rendered.get((id(outcome), audit))
             if tail is None:
                 flag = "" if audit is None else str(audit).lower()
                 tail = _csv_text((*_outcome_fields(outcome), flag))
                 rendered[(id(outcome), audit)] = tail
-            if _CSV_SPECIAL.search(machine_id):
-                machine_id = _csv_text((machine_id,))[:-1]
             yield machine_id + "," + tail
 
     # One write per few thousand lines: a write per line costs more than
@@ -459,14 +414,14 @@ def summary_text(report: ClassificationReport) -> str:
     cap = "none" if report.history_cap is None else str(report.history_cap)
     lines = [
         f"class: states={report.mclass.state_count}"
-        f" symbols={report.mclass.alphabet_size} machines={len(report.rows)}",
+        f" symbols={report.mclass.alphabet_size} machines={len(report.outcomes)}",
         f"budget: {report.budget} steps, history cap {cap}",
         f"halted: {counts['halted']}",
         f"loop_detected: {counts['loop_detected']}",
         f"budget_exceeded: {counts['budget_exceeded']}",
         f"max halting step: {report.max_halt_steps if report.max_halt_steps is not None else 'n/a'}",
         f"audits: {'all passed' if report.all_audits_passed else 'FAILURES PRESENT'}",
-        f"oracle runs: {report.oracle_runs} for {len(report.rows)} machines",
+        f"oracle runs: {report.oracle_runs} for {len(report.outcomes)} machines",
         f"wall time: {report.wall_seconds:.2f}s",
     ]
     return "\n".join(lines) + "\n"
@@ -684,8 +639,10 @@ def load_fixture(path: str | Path) -> TrioFixture:
     if not machines:
         raise FixtureError(f"{p}: {pairs['machine']} defines no machine")
     machine = next(iter(machines.values()))
-    parts = [part.strip() for part in pairs.get("args", "").split(",")]
-    args = tuple(natural("args entry", part) for part in parts if part)
+    args = parse_naturals(
+        pairs.get("args", ""),
+        lambda item: FixtureError(f"{p}: args entry must be a natural, got {item!r}"),
+    )
     expect = pairs.get("expect")
     if expect is not None and expect not in _EXPECT_TAGS:
         raise FixtureError(f"{p}: expect must be one of {sorted(_EXPECT_TAGS)}")

@@ -99,19 +99,20 @@ class Certificate:
         return f"{self.rule}({','.join(c.compact() for c in self.children)})"
 
 
-def _depends(expr: RecExpr, seen: dict[int, frozenset[int]] | None = None) -> frozenset[int]:
+def _depends(expr: RecExpr, n: int, seen: dict[int, frozenset[int]]) -> frozenset[int]:
     """Conservative set of argument positions (1-based) the term may read.
 
-    Projections read exactly one position; composition translates the
-    outer function's demands through the inner ones; recursion and
-    minimization are treated as reading everything.  Positions outside
-    the result provably never influence the value or the convergence of
-    the term.  ``seen`` holds the answer for each node already analysed,
-    by identity, so a subterm shared by reference costs one visit however
-    often it is inlined.
+    ``expr`` is a validated term of arity ``n``.  Projections read
+    exactly one position; composition translates the outer function's
+    demands through the inner ones; recursion and minimization are
+    treated as reading everything.  Positions outside the result provably
+    never influence the value or the convergence of the term.  A node's
+    arity comes from its parent (an outer takes one argument per inner,
+    each inner takes the composition's ``n``), so nothing is validated
+    again.  ``seen`` (start it empty) holds the answer for each node already
+    analysed, by identity, so a subterm shared by reference costs one
+    visit however often it is inlined.
     """
-    if seen is None:
-        seen = {}
     out = seen.get(id(expr))
     if out is not None:
         return out
@@ -123,10 +124,10 @@ def _depends(expr: RecExpr, seen: dict[int, frozenset[int]] | None = None) -> fr
     elif t is Proj:
         out = frozenset((expr.i,))
     elif t is Compose:
-        needed = _depends(expr.outer, seen)
-        out = frozenset().union(*[_depends(expr.inners[j - 1], seen) for j in needed])
+        needed = _depends(expr.outer, len(expr.inners), seen)
+        out = frozenset().union(*[_depends(expr.inners[j - 1], n, seen) for j in needed])
     else:
-        out = frozenset(range(1, arity(expr) + 1))
+        out = frozenset(range(1, n + 1))
     seen[id(expr)] = out
     return out
 
@@ -139,34 +140,39 @@ def check_certificate(cert: Certificate, stmt: Statement) -> bool:
     raising.  The work is proportional to the certificate size, with the
     one fixed-fuel evaluation backing const_nonzero leaves.
     """
-    if not isinstance(cert, Certificate) or not isinstance(stmt, Statement):
+    return isinstance(stmt, Statement) and _check(cert, stmt.subject, stmt.fixed_args)
+
+
+def _check(cert: Certificate, subject: RecExpr, fixed_args: tuple[int, ...]) -> bool:
+    """``check_certificate`` on a subject already validated with arity
+    ``len(fixed_args) + 1``.  A child's subject is an inner of the
+    subject's composition, so it has that arity too and is not
+    validated again."""
+    if not isinstance(cert, Certificate):
         return False
     expected = RULE_ARITY.get(cert.rule)
     if expected is None or len(cert.children) != expected:
         return False
-    subject = stmt.subject
     if cert.rule == "succ_head":
         if type(subject) is Succ:
             return True
         return type(subject) is Compose and type(subject.outer) is Succ
     if cert.rule == "const_nonzero":
-        quantified = len(stmt.fixed_args) + 1
-        if quantified in _depends(subject):
+        quantified = len(fixed_args) + 1
+        if quantified in _depends(subject, quantified, {}):
             return False
-        value = evaluate(subject, stmt.fixed_args + (0,), CONST_CHECK_FUEL)
+        value = evaluate(subject, fixed_args + (0,), CONST_CHECK_FUEL)
         return not isinstance(value, FuelExhausted) and value != 0
     if cert.rule in ("sum_left", "sum_right"):
         if type(subject) is not Compose or subject.outer != ADD or len(subject.inners) != 2:
             return False
         picked = subject.inners[0 if cert.rule == "sum_left" else 1]
-        return check_certificate(cert.children[0], Statement(picked, stmt.fixed_args))
+        return _check(cert.children[0], picked, fixed_args)
     if cert.rule == "product":
         if type(subject) is not Compose or subject.outer != MUL or len(subject.inners) != 2:
             return False
-        left, right = subject.inners
-        return check_certificate(
-            cert.children[0], Statement(left, stmt.fixed_args)
-        ) and check_certificate(cert.children[1], Statement(right, stmt.fixed_args))
+        pairs = zip(cert.children, subject.inners)
+        return all(_check(child, inner, fixed_args) for child, inner in pairs)
     return False
 
 

@@ -56,8 +56,12 @@ def test_two_state_class_sweep_is_audited_fast_and_reproducible():
     # One less than S(2,2) = 6: the halt is an absent rule, not a step.
     assert report.max_halt_steps == 5
     assert report.all_audits_passed
-    audited = [row for row in report.rows if isinstance(row.outcome, (Halted, LoopDetected))]
-    assert audited and all(row.audit_passed for row in audited)
+    audited = [
+        audit
+        for outcome, audit in zip(report.outcomes, report.audits, strict=True)
+        if isinstance(outcome, (Halted, LoopDetected))
+    ]
+    assert audited and all(audited)
 
     counts = report.counts
     assert sum(counts.values()) == MachineClass(2, 2).size == 6561

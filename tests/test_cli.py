@@ -214,6 +214,25 @@ def test_non_ascii_digits_are_usage_errors(tmp_path, capsys):
     assert "--args must be comma-separated naturals" in capsys.readouterr().err
 
 
+def test_comma_lists_refuse_empty_items(capsys):
+    flags = {
+        "--input": ["classify", "--states", "1", "--symbols", "2"],
+        "--budgets": ["demo", "falsify"],
+        "--args": ["eval", "--program", f"{FIXTURES}/find_zero.rf", "--name", "g"],
+    }
+    for flag, argv in flags.items():
+        for value in ("1,,0", "100,", ",5", " , "):
+            assert main([*argv, flag, value]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {flag} must be comma-separated naturals, got ''\n"
+            )
+    # Text that is empty as a whole is still no items at all.
+    assert main(["classify", "--states", "1", "--symbols", "2", "--input", ""]) == 0
+    assert "machines=25" in capsys.readouterr().err
+    assert main(["eval", "--program", f"{FIXTURES}/find_zero.rf", "--name", "g", "--args", ""]) == 2
+    assert capsys.readouterr().err == "error: term: expected 1 arguments, got 0\n"
+
+
 def test_demo_falsify_reports_the_ladder(capsys):
     code = main(["demo", "falsify", "--budgets", "10,50"])
     captured = capsys.readouterr()

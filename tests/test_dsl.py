@@ -229,7 +229,7 @@ def test_shared_definitions_cost_their_distinct_nodes():
     term = functions["d60"]
     compiled = CompiledTerm(term)
     assert compiled.arity == 1
-    assert _depends(term) == frozenset({1})
+    assert _depends(term, 1, {}) == frozenset({1})
     assert evaluate_costed(compiled, (1,), 10**5) == (None, 10**5)
     assert time.perf_counter() - started < 1.0
     # d_k(x) = 2**k * x, by both evaluators.

@@ -1,6 +1,7 @@
 """Enumeration, classification, demonstration, and fixture-suite tests."""
 
 import hashlib
+import io
 import random
 import shutil
 import tracemalloc
@@ -20,7 +21,6 @@ from haltlab import experiments
 from haltlab.experiments import (
     CLASS_SIZE_GUARD,
     ClassificationReport,
-    ClassificationRow,
     FixtureError,
     MachineClass,
     MachineIds,
@@ -39,6 +39,7 @@ from haltlab.experiments import (
     suite_to_csv,
     summary_text,
     validate_sweep,
+    write_report_csv,
 )
 from haltlab.recfun import MONUS, Compose, Proj, const_expr
 from haltlab.trio import UNDETERMINED
@@ -104,14 +105,15 @@ def test_one_state_class_has_no_loops_from_blank_tape():
 
 
 def _per_machine_rows(mclass, budget, history_cap, input_symbols):
-    """The sweep as one oracle run per machine: the reference for the tree."""
+    """The sweep as one oracle run per machine: the reference for the tree,
+    as (machine code, outcome, audit flag) triples in enumeration order."""
     rows = []
     for machine in enumerate_class(mclass):
         outcome = run_with_oracle(machine, input_symbols, budget, history_cap)
         audit = None
         if isinstance(outcome, (Halted, LoopDetected)):
             audit = replay_verify(machine, input_symbols, outcome)
-        rows.append(ClassificationRow(machine_code(machine), outcome, audit))
+        rows.append((machine_code(machine), outcome, audit))
     return rows
 
 
@@ -138,30 +140,32 @@ def test_prefix_tree_sweep_matches_one_run_per_machine(
     mclass = MachineClass(states, symbols)
     report = classify_all(mclass, budget, history_cap, input_symbols)
     expected = _per_machine_rows(mclass, budget, history_cap, input_symbols)
-    reference = ClassificationReport(mclass, budget, history_cap, input_symbols, expected, 0.0)
+    _, outcomes, audits = zip(*expected)
+    reference = ClassificationReport(
+        mclass, budget, history_cap, input_symbols, outcomes, audits, 0.0
+    )
     assert report_to_csv(report) == report_to_csv(reference)
     assert 1 <= report.oracle_runs <= mclass.size
 
-    # The rows view yields the reference rows however it is read.
-    rows = report.rows
-    walked = list(rows)
-    assert len(rows) == len(expected) == mclass.size
-    assert walked == expected
+    # The columns, read by canonical index, are the reference rows.
+    ids = report.ids
+    assert len(ids) == len(report.outcomes) == len(report.audits) == len(expected) == mclass.size
+    assert list(zip(ids, report.outcomes, report.audits)) == expected
     for k in {0, 1, len(expected) // 2, len(expected) - 1}:
-        assert rows[k] == expected[k]
-        assert rows[k - len(expected)] == expected[k - len(expected)]
+        assert ids[k] == expected[k][0]
+        assert ids[k - len(expected)] == expected[k - len(expected)][0]
     for k in (len(expected), -len(expected) - 1):
         with pytest.raises(IndexError):
-            rows[k]
-    assert [row.machine_id for row in rows] == [machine_code(m) for m in enumerate_class(mclass)]
+            ids[k]
+    assert list(ids) == [machine_code(m) for m in enumerate_class(mclass)]
 
-    # The column-reading summaries agree with a walk over the rows.
-    tags = ["halted" if isinstance(r.outcome, Halted) else "loop_detected"
-            if isinstance(r.outcome, LoopDetected) else "budget_exceeded" for r in walked]
+    # The column-reading summaries agree with a walk over the reference.
+    tags = ["halted" if isinstance(o, Halted) else "loop_detected"
+            if isinstance(o, LoopDetected) else "budget_exceeded" for o in outcomes]
     assert report.counts == {tag: tags.count(tag) for tag in report.counts}
-    halts = [r.outcome.steps for r in walked if isinstance(r.outcome, Halted)]
+    halts = [o.steps for o in outcomes if isinstance(o, Halted)]
     assert report.max_halt_steps == (max(halts) if halts else None)
-    assert report.all_audits_passed == all(r.audit_passed is not False for r in walked)
+    assert report.all_audits_passed == all(a is not False for a in audits)
 
 
 def test_compact_ids_cover_every_class_within_the_guard():
@@ -202,30 +206,48 @@ def test_classification_csv_is_stable():
 
 
 def test_csv_row_shapes_for_all_outcomes():
-    rows = [
-        ClassificationRow("------", Halted(steps=0, final_id=None), True),
-        ClassificationRow("0RB---_0LA---", LoopDetected(first_index=0, period=2), True),
-        ClassificationRow("1RA---", BudgetExceeded(steps=9, last_id=None), None),
-        ClassificationRow('odd,"id"', BudgetExceeded(steps=9, last_id=None), None),
-    ]
+    # The 1x1 class has three machines: ---, 0LA and 0RA.
     report = ClassificationReport(
-        mclass=MachineClass(2, 2),
+        mclass=MachineClass(1, 1),
         budget=9,
         history_cap=None,
         input_symbols=(),
-        rows=rows,
+        outcomes=[
+            Halted(steps=0, final_id=None),
+            LoopDetected(first_index=0, period=2),
+            BudgetExceeded(steps=9, last_id=None),
+        ],
+        audits=[True, True, None],
         wall_seconds=1.23,
     )
     assert report_to_csv(report).splitlines() == [
         "machine_id,outcome,steps,loop_first,loop_period,audit",
-        "------,halted,0,,,true",
-        "0RB---_0LA---,loop_detected,2,0,2,true",
-        "1RA---,budget_exceeded,9,,,",
-        '"odd,""id""",budget_exceeded,9,,,',
+        "---,halted,0,,,true",
+        "0LA,loop_detected,2,0,2,true",
+        "0RA,budget_exceeded,9,,,",
     ]
     summary = summary_text(report)
     assert "wall time" in summary
     assert "halted: 1" in summary
+    assert "machines=3" in summary
+
+
+def test_csv_refuses_columns_that_do_not_cover_the_class():
+    """A report of the 25-machine 1x2 class with 24 entries per column."""
+    outcome = BudgetExceeded(steps=1, last_id=None)
+    report = ClassificationReport(
+        mclass=MachineClass(1, 2),
+        budget=1,
+        history_cap=None,
+        input_symbols=(),
+        outcomes=[outcome] * 24,
+        audits=[None] * 24,
+        wall_seconds=0.0,
+    )
+    stream = io.StringIO()
+    with pytest.raises(ValueError):
+        write_report_csv(report, stream)
+    assert stream.getvalue() == ""
 
 
 def test_growth_profile_of_the_runner_is_the_identity():
@@ -416,6 +438,14 @@ def test_fixture_args_must_be_naturals(tmp_path):
         task.write_text(head + f"args = {value}\n", encoding="utf-8")
         with pytest.raises(FixtureError, match=r"fixed\.task: args entry must be a natural"):
             load_fixture(task)
+    for value in ("1,,0", "100,", ",5"):
+        task.write_text(head + f"args = {value}\n", encoding="utf-8")
+        with pytest.raises(FixtureError, match=r"fixed\.task: args entry must be a natural, got ''$"):
+            load_fixture(task)
+    # An empty value is still no arguments; g's arity then refuses the task.
+    task.write_text(head + "args=\n", encoding="utf-8")
+    with pytest.raises(FixtureError, match="arity"):
+        load_fixture(task)
 
 
 def test_fixture_numbers_are_reported_once_with_the_path(tmp_path):
