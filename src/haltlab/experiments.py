@@ -378,14 +378,21 @@ def write_report_csv(report: ClassificationReport, stream: TextIO) -> None:
     A row's fields after its id depend only on its outcome object and
     audit flag, so each such pair is rendered once and shared.  Ids are
     compact machine codes, which ``csv`` never quotes.  Raises
-    ValueError when the columns do not cover the class, one entry per
-    machine.
+    ValueError, before anything is written, when the columns do not
+    cover the class, one entry per machine.
     """
+    lengths = (len(report.ids), len(report.outcomes), len(report.audits))
+    if len(set(lengths)) > 1:
+        mclass = report.mclass
+        raise ValueError(
+            f"report columns do not cover the {mclass.state_count}x{mclass.alphabet_size} class:"
+            f" {lengths[0]} ids, {lengths[1]} outcomes, {lengths[2]} audits"
+        )
     rendered: dict[tuple[int, bool | None], str] = {}
 
     def lines() -> Iterator[str]:
         yield _csv_text(CSV_COLUMNS)
-        columns = zip(report.ids, report.outcomes, report.audits, strict=True)
+        columns = zip(report.ids, report.outcomes, report.audits)
         for machine_id, outcome, audit in columns:
             tail = rendered.get((id(outcome), audit))
             if tail is None:
@@ -502,11 +509,12 @@ def falsify_demo(
     budget, so each rung's outcome equals that of its own run; a
     repeated budget shares one outcome.  At a mark the sample is the
     step and the non-blank cell count, exact also while the run coasts
-    through a proven translated cycle, since each skipped period writes
-    its cells.  The right-runner never halts or repeats, so no mark is
-    cut short.  The recorder is given room for every configuration (its
-    entries cost constant memory), so the BudgetExceeded outcomes are
-    genuine step budget exhaustions, not cap artifacts.
+    through a proven translated cycle, since ``cell_count`` counts the
+    copies that skipped periods lay.  The right-runner never halts or
+    repeats, so no mark is cut short.  The recorder is given room for
+    every configuration (its entries cost constant memory), so the
+    BudgetExceeded outcomes are genuine step budget exhaustions, not cap
+    artifacts.
     """
     budgets = tuple(budgets)
     if not budgets:
@@ -522,7 +530,7 @@ def falsify_demo(
         if point in budgets:
             at[point] = outcome or oracle.stopped()
         if point in marks:
-            profile.append((oracle.steps, len(oracle.tape)))
+            profile.append((oracle.steps, oracle.cell_count()))
     counts = [cells for _, cells in profile]
     monotone = all(a < b for a, b in zip(counts, counts[1:]))
     return FalsifyReport(budgets, [at[b] for b in budgets], profile, monotone)

@@ -57,20 +57,24 @@ this.  Only consecutive records in one state are compared, so a cycle
 whose period holds two records in a state with different cells behind
 them goes unproven and is recorded step by step as before.
 
-Once a cycle is proven the run stops recording and coasts: each whole
-period lays one more copy of the |s| cells behind the window and
-carries the window s cells on, and the lead-in and the remainder of a
-slice go through the plain kernel.  The outcome is still
-the BudgetExceeded the recording loop would have reached, at the same
-step and with the same configuration, because the verdict's contract
-has no "never halts" case.  ``replay_verify`` never relies on the
-proof: it steps every claim from the start.
+Once a cycle is proven the run stops recording and coasts.  Each whole
+period lays one more copy of the same |s| cells behind the window and
+carries the window s cells on, so skipping k periods adds k to a count
+of laid copies and moves the window: the cost does not grow with k.
+The copies stay out of the live tape dict, which keeps only what the
+plain kernel can still reach, and a snapshot merges them back in.  The
+lead-in and the remainder of a slice go through the plain kernel.  The
+outcome is still the BudgetExceeded the recording loop would have
+reached, at the same step and with the same configuration, because the
+verdict's contract has no "never halts" case.  ``replay_verify`` never
+relies on the proof: it steps every claim from the start.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable
 
 from .machine import (
@@ -150,6 +154,9 @@ class PlainRun:
 
     ``execute(n)`` runs at most n steps in place on ``state``, ``head``,
     ``tape`` and ``steps`` and says whether the machine halted first.
+    ``tape`` never holds a blank: the input is stored without its
+    blanks, and a step that writes a blank pops the cell.  So the dict
+    is already canonical, and ``snapshot`` only sorts it.
     """
 
     def __init__(self, machine: Machine, input_symbols: Iterable[int] = ()) -> None:
@@ -166,7 +173,12 @@ class PlainRun:
         self.steps = 0
 
     def snapshot(self) -> InstantaneousDescription:
-        return InstantaneousDescription.from_tape(self.state, self.head, self.tape)
+        # sorted gives a list, which tuple copies at its final size
+        return InstantaneousDescription(self.state, self.head, tuple(sorted(self.tape.items())))
+
+    def cell_count(self) -> int:
+        """The number of non-blank cells."""
+        return len(self.tape)
 
     def at_halt(self) -> bool:
         scanned = self.tape.get(self.head, BLANK)
@@ -216,6 +228,12 @@ class OracleRun(PlainRun):
     and the run stops storing fingerprints.
     ``translation`` is the proven cycle's witness.  Steps go through
     ``advance`` only: the inherited ``execute`` skips the fingerprint.
+
+    ``tape`` is the whole tape until the run first skips periods of a
+    proven cycle.  From then on it holds the cells before the laid
+    region, the window, and the copies the kernel laid since the last
+    skip; the copies behind them are kept as one count (see ``_jump``).
+    ``snapshot`` and ``cell_count`` take them into account.
     """
 
     def __init__(
@@ -254,6 +272,8 @@ class OracleRun(PlainRun):
         self._records: tuple[dict[int, list], dict[int, list]] | None = ({}, {})
         # first record step, period, shift, depth of a proven cycle
         self._cycle: tuple[int, int, int, int] | None = None
+        # [start, copies, block] once a period is skipped, see _jump
+        self._laid: list | None = None
 
     @property
     def translation(self) -> tuple[int, int, int] | None:
@@ -264,6 +284,35 @@ class OracleRun(PlainRun):
     def history_len(self) -> int:
         """Configurations the history accounts for; see the class docstring."""
         return self.steps + (not isinstance(self.outcome, LoopDetected))
+
+    def snapshot(self) -> InstantaneousDescription:
+        pairs = sorted(self.tape.items())
+        if self._laid is not None:
+            start, copies, block = self._laid
+            _, _, shift, _ = self._cycle
+            width = len(block)
+            size = copies * width
+            if shift < 0:  # laid leftward from start
+                start, block = start - size + 1, block[::-1]
+            # one ascending run of pairs per non-blank cell of the block
+            runs = [
+                zip(range(start + i, start + size, width), repeat(sym))
+                for i, sym in enumerate(block)
+                if sym
+            ]
+            laid = list(runs[0]) if len(runs) == 1 else list(chain.from_iterable(zip(*runs)))
+            # no live cell lies inside the region, so it goes in whole
+            at = bisect_left(pairs, (start,))
+            laid[:0] = pairs[:at]
+            laid += pairs[at:]
+            pairs = laid
+        return InstantaneousDescription(self.state, self.head, tuple(pairs))
+
+    def cell_count(self) -> int:
+        if self._laid is None:
+            return len(self.tape)
+        _, copies, block = self._laid
+        return len(self.tape) + copies * (len(block) - block.count(BLANK))
 
     def _confirmed_first_index(self, bucket: int | list[int]) -> int | None:
         """Re-simulate to weed fingerprint collisions out of a hit.
@@ -408,6 +457,14 @@ class OracleRun(PlainRun):
         depth's cells and the head's own) and, behind that, a block of
         |shift| cells; everything ahead is blank.  Each period lays one
         more copy of the block and carries the window on by the shift.
+        The copies are kept as a count, ``_laid`` = [start, copies,
+        block]: from cell ``start`` on, toward the shift, ``copies``
+        copies of ``block`` (its cells in that order), none of them in
+        ``tape``.  The first jump makes the block behind the window the
+        region's first copy.  The copies the kernel laid since the last
+        jump lie between the region and the window; they equal the
+        block by the proof, so each jump folds them into the count.
+        The kernel never reads them, nor anything behind the window.
         """
         if k <= 0:
             return
@@ -415,16 +472,21 @@ class OracleRun(PlainRun):
         d = 1 if shift > 0 else -1
         width = shift * d
         tape = self.tape
-        span = width + depth + 1
-        base = self.head - d * (span - 1)
-        cells = [tape.pop(base + d * i, 0) for i in range(span)]
-        window = base + d * (k + 1) * width
-        for i, sym in enumerate(cells[:width]):
+        edge = self.head - d * (depth + 1)  # the cell just behind the window
+        if self._laid is None:
+            start = edge - d * (width - 1)
+            self._laid = [start, 0, tuple([tape.get(start + d * i, BLANK) for i in range(width)])]
+        start, copies, _ = self._laid
+        near = start + d * copies * width  # the first cell past the region
+        gap = d * (edge - near) + 1  # whole copies, up to the window
+        for i in range(gap):
+            tape.pop(near + d * i, None)
+        self._laid[1] = copies + gap // width + k
+        window = [tape.pop(edge + d * i, BLANK) for i in range(1, depth + 2)]
+        edge += k * shift
+        for i, sym in enumerate(window, 1):
             if sym:
-                tape.update(zip(range(base + d * i, window + d * i, d * width), repeat(sym)))
-        for i, sym in enumerate(cells[width:]):
-            if sym:
-                tape[window + d * i] = sym
+                tape[edge + d * i] = sym
         self.head += k * shift
         self.steps += k * period
 

@@ -233,21 +233,24 @@ def test_csv_row_shapes_for_all_outcomes():
 
 
 def test_csv_refuses_columns_that_do_not_cover_the_class():
-    """A report of the 25-machine 1x2 class with 24 entries per column."""
+    """Short columns are refused before the first line is written, also
+    when they are longer than one chunk of lines."""
     outcome = BudgetExceeded(steps=1, last_id=None)
-    report = ClassificationReport(
-        mclass=MachineClass(1, 2),
-        budget=1,
-        history_cap=None,
-        input_symbols=(),
-        outcomes=[outcome] * 24,
-        audits=[None] * 24,
-        wall_seconds=0.0,
-    )
-    stream = io.StringIO()
-    with pytest.raises(ValueError):
-        write_report_csv(report, stream)
-    assert stream.getvalue() == ""
+    for states, size, outcomes, audits in ((1, 25, 24, 24), (2, 6561, 6560, 6560), (2, 6561, 6561, 6560)):
+        report = ClassificationReport(
+            mclass=MachineClass(states, 2),
+            budget=1,
+            history_cap=None,
+            input_symbols=(),
+            outcomes=[outcome] * outcomes,
+            audits=[None] * audits,
+            wall_seconds=0.0,
+        )
+        stream = io.StringIO()
+        expected = f"the {states}x2 class: {size} ids, {outcomes} outcomes, {audits} audits"
+        with pytest.raises(ValueError, match=expected):
+            write_report_csv(report, stream)
+        assert stream.getvalue() == ""
 
 
 def test_growth_profile_of_the_runner_is_the_identity():

@@ -275,6 +275,22 @@ def test_plain_run_matches_the_reference_step(data):
     assert run(machine, tape, budget) == expected
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_plain_snapshot_is_the_canonical_description(data):
+    """``snapshot`` sorts the live dict as it stands; ``from_tape`` is the
+    reference canonicalisation, which also drops blanks."""
+    machine = data.draw(machines())
+    symbols = st.integers(0, machine.alphabet_size - 1)
+    tape = tuple(data.draw(st.lists(symbols, max_size=8)))
+    plain = PlainRun(machine, tape)
+    for n in data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=6)):
+        plain.execute(n)
+        reference = InstantaneousDescription.from_tape(plain.state, plain.head, plain.tape)
+        assert plain.snapshot() == reference
+        assert plain.cell_count() == len(reference.tape)
+
+
 # --- translated cycles ------------------------------------------------------
 
 
@@ -296,15 +312,50 @@ def left_cycler() -> Machine:
     )
 
 
+def three_cycler() -> Machine:
+    """Period 11, shift +3, depth 1: each period lays the block 1, 0, 0."""
+    return Machine(
+        3,
+        2,
+        {
+            (0, 0): (1, RIGHT, 2),
+            (0, 1): (1, LEFT, 2),
+            (1, 0): (1, LEFT, 0),
+            (1, 1): (1, RIGHT, 1),
+            (2, 0): (1, RIGHT, 1),
+            (2, 1): (0, RIGHT, 2),
+        },
+    )
+
+
+def mirrored(machine: Machine) -> Machine:
+    """The same machine with every move reversed: its cycles shift the other way."""
+    flip = {LEFT: RIGHT, RIGHT: LEFT}
+    rules = {slot: (w, flip[mv], n) for slot, (w, mv, n) in machine.transitions.items()}
+    return Machine(machine.state_count, machine.alphabet_size, rules)
+
+
+CYCLERS = [
+    (shift_two_cycler(), (9, 6, 2)),
+    (left_cycler(), (11, 5, -1)),
+    (mirrored(shift_two_cycler()), (9, 6, -2)),
+    (three_cycler(), (7, 11, 3)),
+    (mirrored(three_cycler()), (7, 11, -3)),
+]
+
+
 def test_right_runner_coasts_to_its_closed_form():
     orun = OracleRun(runner(), ())
     assert orun.advance(10**6) is None
     assert orun.translation == (1, 1, 1)
     assert (orun.state, orun.head, orun.steps, orun.history_len) == (0, 10**6, 10**6, 10**6 + 1)
-    assert orun.tape == dict.fromkeys(range(10**6), 1)
-    # Coasting records nothing: the proof dropped the fingerprint table.
+    closed = InstantaneousDescription(0, 10**6, tuple([(cell, 1) for cell in range(10**6)]))
+    assert orun.snapshot() == closed and orun.cell_count() == 10**6
+    # Coasting records nothing: the proof dropped the fingerprint table,
+    # and the skipped copies are a count, not cells.
     assert orun._zobrist is None and orun._hist is None
-    closed = InstantaneousDescription(0, 10**6, tuple((cell, 1) for cell in range(10**6)))
+    depth = orun._cycle[3]
+    assert len(orun.tape) <= depth + 1
     assert run_with_oracle(runner(), (), budget=10**6) == BudgetExceeded(10**6, closed)
 
 
@@ -346,19 +397,51 @@ def test_false_fingerprint_collisions_change_no_verdict(monkeypatch):
     assert false_hits and any(isinstance(bucket, list) for bucket in false_hits)
 
 
-@pytest.mark.parametrize(
-    "machine, witness",
-    [(shift_two_cycler(), (9, 6, 2)), (left_cycler(), (11, 5, -1))],
-)
+@pytest.mark.parametrize("machine, witness", CYCLERS)
 def test_translated_cyclers_are_proven_and_skipped_exactly(machine, witness):
     orun = OracleRun(machine, ())
     assert orun.advance(20_000) is None
     assert orun.translation == witness
     plain = PlainRun(machine, ())
     assert not plain.execute(20_000)
-    assert (orun.state, orun.head, orun.tape) == (plain.state, plain.head, plain.tape)
+    assert (orun.state, orun.head, orun.snapshot()) == (plain.state, plain.head, plain.snapshot())
+    assert orun.cell_count() == plain.cell_count()
+    # One slice: the cells laid before the proof and at most a period's
+    # worth since the jump are all the live tape holds.
+    first, period, _ = witness
+    assert len(orun.tape) <= first + 2 * period
     assert orun.history_len == 20_001
     assert run_with_oracle(machine, (), budget=20_000) == run(machine, (), budget=20_000)
+
+
+@pytest.mark.parametrize("machine, witness", CYCLERS)
+def test_slices_that_end_on_an_aligned_step_resume_exactly(machine, witness):
+    first, period, _ = witness
+    # The first slice ends on an aligned step right after a jump, so the
+    # second starts with no kernel-laid copy to fold; later slices end
+    # mid-period, and the lead-in finishes the period before the next jump.
+    slices = [first + 10 * period, 10 * period, 5 * period + 1, period - 1, 7 * period, 3, 1]
+    orun = OracleRun(machine, ())
+    plain = PlainRun(machine, ())
+    live = []
+    for n in slices:
+        assert orun.advance(n) is None
+        assert not plain.execute(n)
+        assert (orun.state, orun.head, orun.steps) == (plain.state, plain.head, plain.steps)
+        assert orun.snapshot() == plain.snapshot()
+        assert orun.cell_count() == plain.cell_count()
+        live.append(len(orun.tape))
+    assert orun.translation == witness
+    assert live[1] == live[0]  # the second jump moved only the window
+
+
+@pytest.mark.parametrize("machine, witness", CYCLERS)
+def test_history_cap_mid_period_after_a_jump(machine, witness):
+    first, period, _ = witness
+    cap = first + 20 * period + period // 2
+    orun = OracleRun(machine, (), max_history=cap)
+    assert orun.advance(10**4) == BudgetExceeded(cap, run(machine, (), cap).last_id, history_capped=True)
+    assert orun.translation == witness and orun._laid is not None
 
 
 def test_records_start_only_past_the_input():
@@ -427,7 +510,9 @@ def test_sliced_oracle_tracks_the_plain_kernel(data):
     for n in slices:
         outcome = orun.advance(n)
         halted = plain.execute(orun.steps - plain.steps)
-        assert (orun.state, orun.head, orun.tape, orun.steps) == (plain.state, plain.head, plain.tape, plain.steps)
+        assert (orun.state, orun.head, orun.steps) == (plain.state, plain.head, plain.steps)
+        assert orun.snapshot() == plain.snapshot()
+        assert orun.cell_count() == plain.cell_count()
         if isinstance(outcome, LoopDetected):
             assert orun.history_len == orun.steps
             break
