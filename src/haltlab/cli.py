@@ -127,8 +127,6 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
         names = ", ".join(sorted(program.functions)) or "none"
         raise ValueError(f"no definition {ns.name!r} (available: {names})")
     args = _parse_naturals(ns.args, "--args")
-    if ns.fuel < 0:
-        raise ValueError("--fuel must be nonnegative")
     result = evaluate(expr, args, ns.fuel)
     if isinstance(result, FuelExhausted):
         print(f"fuel exhausted after {result.consumed} units")

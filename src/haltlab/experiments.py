@@ -55,7 +55,7 @@ from .oracle import (
     run,  # not called here; the benchmark tracer wraps experiments.run
     run_with_oracle,
 )
-from .trio import TrioRecord, TrioTask, UNDETERMINED, classify_corpus_entry
+from .trio import TrioRecord, TrioTask, UNDETERMINED, VERDICT_TAGS, classify_corpus_entry, reading
 
 # Refuse to enumerate beyond this many machines; desk scale means the
 # whole class fits in one sitting.
@@ -476,7 +476,7 @@ def cell_growth_profile(
     profile = []
     for mark in _profile_marks(budget, samples):
         halted = plain.execute(mark - plain.steps)
-        profile.append((plain.steps, len(plain.tape)))
+        profile.append((plain.steps, plain.cell_count()))
         if halted:
             break
     return profile
@@ -574,18 +574,8 @@ class TrioFixture:
     expect: str | None
 
 
-_VERDICT_TAGS = {
-    "Found": "found",
-    "SelfTerminated": "self_terminated",
-    "Proved": "proved",
-    "Exhausted": "exhausted",
-}
-
-_EXPECT_TAGS = set(_VERDICT_TAGS.values())
-
-
 def verdict_tag(verdict) -> str:
-    return _VERDICT_TAGS[type(verdict).__name__]
+    return reading(verdict)[0]
 
 
 def load_fixture(path: str | Path) -> TrioFixture:
@@ -652,8 +642,8 @@ def load_fixture(path: str | Path) -> TrioFixture:
         lambda item: FixtureError(f"{p}: args entry must be a natural, got {item!r}"),
     )
     expect = pairs.get("expect")
-    if expect is not None and expect not in _EXPECT_TAGS:
-        raise FixtureError(f"{p}: expect must be one of {sorted(_EXPECT_TAGS)}")
+    if expect is not None and expect not in VERDICT_TAGS:
+        raise FixtureError(f"{p}: expect must be one of {sorted(VERDICT_TAGS)}")
     cap = natural("history_cap", pairs["history_cap"]) if "history_cap" in pairs else None
     quantum = natural("quantum", pairs["quantum"])
     budget = natural("budget", pairs["budget"])
@@ -719,17 +709,8 @@ def suite_to_csv(report: SuiteReport) -> str:
         ["fixture", "verdict", "detail", "value", "audit", "rounds", "expected", "matched"]
     )
     for fixture, record in zip(report.fixtures, report.records):
-        verdict = record.verdict
-        tag = verdict_tag(verdict)
-        if tag == "found":
-            detail = f"k={verdict.k}"
-        elif tag == "self_terminated":
-            detail = f"first={verdict.loop.first_index} period={verdict.loop.period}"
-        elif tag == "proved":
-            detail = verdict.certificate.compact()
-        else:
-            detail = f"rounds={verdict.rounds}"
-        value = "undetermined" if record.value is UNDETERMINED else str(record.value)
+        tag, detail, value = reading(record.verdict)
+        value = "undetermined" if value is UNDETERMINED else str(value)
         audit = "" if record.audit_passed is None else str(record.audit_passed).lower()
         expected = fixture.expect or ""
         matched = "" if fixture.expect is None else str(tag == fixture.expect).lower()
@@ -742,8 +723,8 @@ def suite_to_csv(report: SuiteReport) -> str:
 def suite_text(report: SuiteReport) -> str:
     lines = []
     for fixture, record in zip(report.fixtures, report.records):
-        tag = verdict_tag(record.verdict)
-        value = "undetermined" if record.value is UNDETERMINED else str(record.value)
+        tag, _, value = reading(record.verdict)
+        value = "undetermined" if value is UNDETERMINED else str(value)
         audit = "-" if record.audit_passed is None else ("ok" if record.audit_passed else "FAILED")
         expect = f" expected={fixture.expect}" if fixture.expect else ""
         lines.append(

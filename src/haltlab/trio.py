@@ -35,9 +35,11 @@ three ways a searcher can win; Exhausted reports that the round budget
 ran out with no winner.  The fourth outcome is not decoration: the
 other three cannot cover every task, because T1's target may have no
 zero, T2's machine may run forever without repeating, and T3's rule set
-is incomplete.  ``extend`` maps verdicts to extension values — the
+is incomplete.  ``reading`` is the one reading of a verdict: its tag
+(one of ``VERDICT_TAGS``), its detail and its extension value — the
 found zero for Found, zero for SelfTerminated and Proved, and an
-explicit Undetermined (not a number) for Exhausted.
+explicit Undetermined (not a number) for Exhausted.  ``extend``,
+``TrioRecord.value`` and the fixture reports all read it.
 """
 
 from __future__ import annotations
@@ -160,8 +162,12 @@ class TrioRun:
     searcher still had work), so fairness is checkable after the fact.
     ``t1_spent``, ``t2_steps`` and ``t3_checked`` record what was
     actually used; ``t1_evaluated`` is the fuel T1's evaluations
-    consumed, lookahead and unfinished attempts included.
+    consumed, lookahead and unfinished attempts included.  ``COUNTERS``
+    names all seven.
     """
+
+    COUNTERS = ("t1_granted", "t1_spent", "t1_evaluated", "t2_granted", "t2_steps",
+                "t3_granted", "t3_checked")
 
     def __init__(self, task: TrioTask) -> None:
         self.task = task
@@ -265,48 +271,59 @@ def run_trio(task: TrioTask) -> TrioVerdict:
     return TrioRun(task).run()
 
 
-def extend(task: TrioTask) -> int | Undetermined:
-    """The extension value at the task's fixed arguments.
+VERDICT_TAGS = ("found", "self_terminated", "proved", "exhausted")
+
+
+def reading(verdict: TrioVerdict) -> tuple[str, str, int | Undetermined]:
+    """A verdict's tag, its detail for reports and its extension value.
 
     Found yields the witness itself; SelfTerminated and Proved both pin
     the value to 0; Exhausted yields Undetermined, because a spent
     budget justifies no number at all.
     """
-    verdict = run_trio(task)
     if isinstance(verdict, Found):
-        return verdict.k
-    if isinstance(verdict, Exhausted):
-        return UNDETERMINED
-    return 0
+        return "found", f"k={verdict.k}", verdict.k
+    if isinstance(verdict, SelfTerminated):
+        loop = verdict.loop
+        return "self_terminated", f"first={loop.first_index} period={loop.period}", 0
+    if isinstance(verdict, Proved):
+        return "proved", verdict.certificate.compact(), 0
+    return "exhausted", f"rounds={verdict.rounds}", UNDETERMINED
+
+
+def extend(task: TrioTask) -> int | Undetermined:
+    """The extension value at the task's fixed arguments, as ``reading`` gives it."""
+    return reading(run_trio(task))[2]
 
 
 @dataclass
 class TrioRecord:
-    """A verdict plus its audit and the fairness counters, for reports."""
+    """A verdict plus its audit and the runner's counters, for reports.
+
+    ``value`` is the verdict's extension value as ``reading`` gives it,
+    so the two cannot disagree.  ``counters`` holds every ``TrioRun``
+    counter: the units granted to each searcher and what each spent.
+    """
 
     label: str
     verdict: TrioVerdict
-    value: int | Undetermined
     audit_passed: bool | None
-    audit_note: str
     rounds_run: int
-    t1_granted: int
-    t2_granted: int
-    t3_granted: int
     counters: dict[str, int] = field(default_factory=dict)
 
+    @property
+    def value(self) -> int | Undetermined:
+        return reading(self.verdict)[2]
 
-def _audit_found(task: TrioTask, verdict: Found, fuel: int) -> tuple[bool, str]:
+
+def _audit_found(task: TrioTask, verdict: Found, fuel: int) -> bool:
     # Re-check minimality with the reference evaluator: every earlier
     # candidate converged nonzero, the witness evaluates to zero.
     for candidate in range(verdict.k):
         value = oracle_evaluate(task.g_body, task.fixed_args + (candidate,), fuel)
         if isinstance(value, FuelExhausted) or value == 0:
-            return False, f"candidate {candidate} does not precede the witness"
-    value = oracle_evaluate(task.g_body, task.fixed_args + (verdict.k,), fuel)
-    if value != 0:
-        return False, f"witness {verdict.k} does not evaluate to zero"
-    return True, "least-zero witness re-verified"
+            return False
+    return oracle_evaluate(task.g_body, task.fixed_args + (verdict.k,), fuel) == 0
 
 
 def classify_corpus_entry(task: TrioTask, label: str = "task") -> TrioRecord:
@@ -315,39 +332,22 @@ def classify_corpus_entry(task: TrioTask, label: str = "task") -> TrioRecord:
     Found is re-verified as a least zero with the reference evaluator;
     SelfTerminated is replayed on the bare machine; Proved is re-checked
     against the statement.  Exhausted has nothing to audit, which the
-    record states explicitly.
+    record states with an ``audit_passed`` of None.
     """
     runner = TrioRun(task)
     verdict = runner.run()
     if isinstance(verdict, Found):
-        audit, note = _audit_found(task, verdict, max(runner.t1_granted, 1))
-        value: int | Undetermined = verdict.k
+        audit = _audit_found(task, verdict, max(runner.t1_granted, 1))
     elif isinstance(verdict, SelfTerminated):
         audit = replay_verify(task.t2_machine, task.t2_input, verdict.loop)
-        note = "loop replayed on the bare machine" if audit else "loop replay failed"
-        value = 0
     elif isinstance(verdict, Proved):
         audit = check_certificate(verdict.certificate, runner.statement)
-        note = "certificate re-checked" if audit else "certificate re-check failed"
-        value = 0
     else:
         audit = None
-        note = "nothing to audit on an exhausted search"
-        value = UNDETERMINED
     return TrioRecord(
         label=label,
         verdict=verdict,
-        value=value,
         audit_passed=audit,
-        audit_note=note,
         rounds_run=runner.rounds_run,
-        t1_granted=runner.t1_granted,
-        t2_granted=runner.t2_granted,
-        t3_granted=runner.t3_granted,
-        counters={
-            "t1_spent": runner.t1_spent,
-            "t1_evaluated": runner.t1_evaluated,
-            "t2_steps": runner.t2_steps,
-            "t3_checked": runner.t3_checked,
-        },
+        counters={name: getattr(runner, name) for name in TrioRun.COUNTERS},
     )

@@ -182,6 +182,17 @@ def test_eval_reports_fuel_exhaustion_without_failing(capsys):
     assert captured.out == "fuel exhausted after 3 units\n"
 
 
+def test_eval_negative_fuel_is_the_evaluators_usage_error(capsys):
+    code = main(
+        ["eval", "--program", f"{FIXTURES}/find_zero.rf", "--name", "g", "--args", "2", "--fuel", "-1"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "fuel" in lines[0]
+
+
 def test_eval_usage_errors(tmp_path, capsys):
     assert main(["eval", "--program", f"{FIXTURES}/find_zero.rf", "--name", "nope"]) == 2
     assert main(["eval", "--program", f"{FIXTURES}/find_zero.rf", "--name", "g", "--args", "x"]) == 2

@@ -7,6 +7,7 @@ which round resolves and why.
 """
 
 import random
+import typing
 
 import pytest
 
@@ -27,15 +28,18 @@ from haltlab.recfun import (
 )
 from haltlab.trio import (
     UNDETERMINED,
+    VERDICT_TAGS,
     Exhausted,
     Found,
     Proved,
     SelfTerminated,
     TrioRun,
     TrioTask,
+    TrioVerdict,
     Undetermined,
     classify_corpus_entry,
     extend,
+    reading,
     run_trio,
 )
 from haltlab.experiments import bouncer, load_fixture, right_runner
@@ -223,6 +227,15 @@ def test_corpus_entry_records_verdict_audit_and_counters():
     assert record.counters["t3_checked"] == 0
     # every candidate finished within its first evaluation
     assert record.counters["t1_evaluated"] == record.counters["t1_spent"] == 100
+    # all seven runner counters, the granted counts included, as a
+    # fresh run of the same task leaves them
+    fresh = TrioRun(make_task(THREE_MINUS_Y, right_runner(), quantum=100, budget=100))
+    fresh.run()
+    seven = {"t1_granted", "t1_spent", "t1_evaluated", "t2_granted", "t2_steps",
+             "t3_granted", "t3_checked"}
+    assert record.counters.keys() == seven
+    assert record.counters == {name: getattr(fresh, name) for name in seven}
+    assert record.counters["t1_granted"] == 100
 
     proved = classify_corpus_entry(
         make_task(SUCC_OF_Y, right_runner(), quantum=5, budget=50), label="p"
@@ -240,11 +253,22 @@ def test_found_audit_rejects_a_non_minimal_witness():
     from haltlab.trio import _audit_found
 
     task = make_task(THREE_MINUS_Y, right_runner(), quantum=100, budget=100)
-    ok, _ = _audit_found(task, Found(k=3, steps=100), 10_000)
-    assert ok
-    bad, note = _audit_found(task, Found(k=1, steps=100), 10_000)
-    assert not bad
-    assert note
+    assert _audit_found(task, Found(k=3, steps=100), 10_000) is True
+    assert _audit_found(task, Found(k=1, steps=100), 10_000) is False
+
+
+def test_reading_covers_every_verdict_and_extend_is_the_record_value():
+    """The shipped fixtures give one verdict of each kind: ``reading``
+    tags them in ``TrioVerdict``'s order, and ``extend`` gives each
+    task's record value."""
+    names = ("found_min_zero", "loop_self_termination", "proved_nonzero", "exhausted_budget")
+    tasks = [load_fixture(f"fixtures/trio/{name}.task").task for name in names]
+    records = [classify_corpus_entry(task) for task in tasks]
+    verdicts = [record.verdict for record in records]
+    assert tuple(type(verdict) for verdict in verdicts) == typing.get_args(TrioVerdict)
+    assert tuple(reading(verdict)[0] for verdict in verdicts) == VERDICT_TAGS
+    values = [extend(task) for task in tasks]
+    assert values == [record.value for record in records] == [3, 0, 0, UNDETERMINED]
 
 
 def test_agreement_with_a_directly_computed_ground_truth():
