@@ -39,7 +39,6 @@ from .recfun import (
     MONUS,
     MUL,
     Mu,
-    NotBooleanError,
     PRED,
     PrimRec,
     Proj,
@@ -50,7 +49,6 @@ from .recfun import (
     ZERO,
     Zero,
     arity,
-    char_value,
     const_expr,
     evaluate,
     evaluate_costed,

@@ -228,7 +228,13 @@ class MachineIds(Sequence[str]):
 @dataclass
 class ClassificationReport:
     """One classification run, as columns addressed by canonical index:
-    ``outcomes[k]`` and ``audits[k]`` belong to the machine ``ids[k]``."""
+    ``outcomes[k]`` and ``audits[k]`` belong to the machine ``ids[k]``.
+
+    A budget row's outcome keeps the step count and the cap flag only,
+    with ``last_id`` None: the CSV prints no configuration, and keeping
+    one per budget leaf made up almost all of a report (57 MiB of the
+    2x2 report at budget 10^4, about 1.3 GB of the 3x2 run at 10^3).
+    """
 
     mclass: MachineClass
     budget: int
@@ -309,6 +315,10 @@ def classify_all(
     of their machines and re-check the verdict by oracle-free replay
     against it, writing the result in ``audits``; machines that merely
     ran out of budget build no machine and keep the audit flag None.
+    A budget leaf stores ``BudgetExceeded(steps, None, history_capped)``
+    in place of the run's outcome: no row prints the last
+    configuration, and the snapshots were almost all of the report's
+    memory.  ``run_with_oracle`` itself still returns the snapshot.
     """
     input_symbols = tuple(input_symbols)
     validate_sweep(mclass, input_symbols, budget=budget, history_cap=history_cap)
@@ -329,7 +339,10 @@ def classify_all(
             partial = build(decided.items())
             outcome = run_with_oracle(partial, input_symbols, budget, history_cap)
             runs += 1
-            if isinstance(outcome, Halted):
+            if isinstance(outcome, BudgetExceeded):
+                # No row prints the last configuration; keep only what rows read.
+                outcome = BudgetExceeded(outcome.steps, None, outcome.history_capped)
+            elif isinstance(outcome, Halted):
                 final = outcome.final_id
                 # Slots are state-major, so this is the halting slot's index.
                 k = final.state * mclass.alphabet_size + final.symbol_at(final.head)

@@ -138,11 +138,14 @@ class BudgetExceeded:
     """Neither halt nor repetition within the allotted resources.
 
     ``history_capped`` distinguishes "step budget spent" from "recorder
-    entry cap reached"; both are honest non-answers.
+    entry cap reached"; both are honest non-answers.  ``last_id`` is the
+    configuration the run stopped in, except in a sweep report
+    (``experiments.classify_all``), whose budget rows keep only the step
+    count and the cap flag and hold None there.
     """
 
     steps: int
-    last_id: InstantaneousDescription
+    last_id: InstantaneousDescription | None
     history_capped: bool = False
 
 
@@ -528,7 +531,9 @@ def replay_verify(machine: Machine, input_symbols: Iterable[int], outcome: RunOu
     Halted must halt at the exact step with the exact configuration;
     LoopDetected must satisfy configuration(first_index) ==
     configuration(first_index + period); BudgetExceeded must reach the
-    claimed step count alive with the claimed last configuration.
+    claimed step count alive with the claimed last configuration.  A
+    BudgetExceeded whose ``last_id`` is None, as a sweep report's budget
+    rows are, claims no configuration to replay to, so it returns False.
     """
     if isinstance(outcome, LoopDetected):
         if outcome.first_index < 0 or outcome.period < 1:

@@ -113,14 +113,6 @@ class ArityError(ValueError):
         self.path = path
 
 
-class NotBooleanError(ValueError):
-    """A value outside {0, 1} came out of an expression flagged as a relation."""
-
-    def __init__(self, value: int) -> None:
-        super().__init__(f"characteristic value must be 0 or 1, got {value}")
-        self.value = value
-
-
 def arity(expr: RecExpr) -> int:
     """Number of arguments ``expr`` takes, validating the whole term.
 
@@ -446,21 +438,6 @@ def evaluate_costed(
         expr = CompiledTerm(expr)
     argv = _check_args(expr.arity, args, fuel)
     return expr._run(argv, fuel)
-
-
-def char_value(expr: RecExpr, args: Iterable[int], fuel: int) -> int | FuelExhausted:
-    """Evaluate an expression flagged as a relation's characteristic function.
-
-    By convention 0 means the relation holds and 1 means it does not.
-    Any other value signals a mis-flagged expression and raises
-    NotBooleanError.  Fuel exhaustion passes through untouched.
-    """
-    result = evaluate(expr, args, fuel)
-    if isinstance(result, FuelExhausted):
-        return result
-    if result not in (0, 1):
-        raise NotBooleanError(result)
-    return result
 
 
 # --- standard combinators -------------------------------------------------

@@ -10,11 +10,23 @@ shrinking.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 
 from hypothesis import strategies as st
 
 from haltlab.machine import LEFT, RIGHT, Machine
-from haltlab.recfun import Compose, Mu, PrimRec, Proj, RecExpr, Succ, Zero, evaluate_costed
+from haltlab.recfun import (
+    Compose,
+    FuelExhausted,
+    Mu,
+    PrimRec,
+    Proj,
+    RecExpr,
+    Succ,
+    Zero,
+    evaluate,
+    evaluate_costed,
+)
 from haltlab.trio import Found, TrioRun
 
 
@@ -122,6 +134,29 @@ def machines(draw, max_states: int = 3, max_symbols: int = 3):
                 nxt = draw(st.integers(0, n - 1))
                 table[(state, symbol)] = (write, move, nxt)
     return Machine(n, m, table)
+
+
+class NotBooleanError(ValueError):
+    """A value outside {0, 1} came out of an expression flagged as a relation."""
+
+    def __init__(self, value: int) -> None:
+        super().__init__(f"characteristic value must be 0 or 1, got {value}")
+        self.value = value
+
+
+def char_value(expr: RecExpr, args: Iterable[int], fuel: int) -> int | FuelExhausted:
+    """Evaluate an expression flagged as a relation's characteristic function.
+
+    By convention 0 means the relation holds and 1 means it does not.
+    Any other value signals a mis-flagged expression and raises
+    NotBooleanError.  Fuel exhaustion passes through untouched.
+    """
+    result = evaluate(expr, args, fuel)
+    if isinstance(result, FuelExhausted):
+        return result
+    if result not in (0, 1):
+        raise NotBooleanError(result)
+    return result
 
 
 class RestartingTrioRun(TrioRun):

@@ -147,10 +147,17 @@ def test_prefix_tree_sweep_matches_one_run_per_machine(
     assert report_to_csv(report) == report_to_csv(reference)
     assert 1 <= report.oracle_runs <= mclass.size
 
-    # The columns, read by canonical index, are the reference rows.
+    # The columns, read by canonical index, are the reference rows, except
+    # that a budget row keeps its step count and cap flag, not the
+    # configuration it stopped in.
     ids = report.ids
     assert len(ids) == len(report.outcomes) == len(report.audits) == len(expected) == mclass.size
-    assert list(zip(ids, report.outcomes, report.audits)) == expected
+    kept = [
+        (machine_id, BudgetExceeded(o.steps, None, o.history_capped), audit)
+        if isinstance(o, BudgetExceeded) else (machine_id, o, audit)
+        for machine_id, o, audit in expected
+    ]
+    assert list(zip(ids, report.outcomes, report.audits)) == kept
     for k in {0, 1, len(expected) // 2, len(expected) - 1}:
         assert ids[k] == expected[k][0]
         assert ids[k - len(expected)] == expected[k - len(expected)][0]
@@ -191,6 +198,36 @@ def test_two_state_sweep_shares_runs_between_machines():
     # S(2,2) = 6 counts the halting transition; here a halt is an absent
     # rule and executes no step, so the class's longest halt reads 5.
     assert report.max_halt_steps == 5
+
+
+@pytest.mark.parametrize(
+    "budget, history_cap, capped, limit",
+    [(10_000, 100_000, False, 1_000_000), (300, 40, True, None)],
+)
+def test_sweep_budget_rows_keep_the_step_count_not_the_configuration(
+    budget, history_cap, capped, limit
+):
+    """Budget leaves drop their last configuration, which no row prints; at
+    budget 10^4 the 2x2 report retained 57 MiB of them and now fits in 1 MB."""
+    tracemalloc.start()
+    try:
+        report = classify_all(MachineClass(2, 2), budget, history_cap)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    if limit is not None:
+        assert retained < limit
+    steps = history_cap if capped else budget
+    rows = [o for o in report.outcomes if isinstance(o, BudgetExceeded)]
+    assert len(rows) == 5122
+    assert set(rows) == {BudgetExceeded(steps, None, history_capped=capped)}
+    assert report.counts == {"halted": 1165, "loop_detected": 274, "budget_exceeded": 5122}
+    assert report.all_audits_passed
+    # A budget row cannot be replayed: it claims no configuration.
+    machines = enumerate(enumerate_class(MachineClass(2, 2)))
+    k, machine = next((k, m) for k, m in machines if isinstance(report.outcomes[k], BudgetExceeded))
+    assert report.audits[k] is None
+    assert not replay_verify(machine, (), report.outcomes[k])
 
 
 def test_classification_csv_is_stable():

@@ -220,6 +220,16 @@ def test_replay_rejects_corrupted_outcomes():
     assert not replay_verify(m, (0, 0, 1), true_halt.final_id)
 
 
+def test_replay_refuses_a_budget_claim_without_a_configuration():
+    """A sweep's budget rows keep no last configuration, so there is
+    nothing to replay to: the audit says False, never a pass."""
+    outcome = run_with_oracle(runner(), (), budget=10)
+    assert isinstance(outcome, BudgetExceeded) and replay_verify(runner(), (), outcome)
+    for capped in (False, True):
+        bare = BudgetExceeded(outcome.steps, None, history_capped=capped)
+        assert not replay_verify(runner(), (), bare)
+
+
 def test_replay_accepts_any_true_recurrence_not_only_the_first():
     # The loop claim is existential; a doubled period is still a fact.
     assert replay_verify(ping_pong(), (), LoopDetected(first_index=0, period=4))

@@ -27,19 +27,17 @@ from haltlab.recfun import (
     Compose,
     FuelExhausted,
     Mu,
-    NotBooleanError,
     PrimRec,
     Proj,
     Succ,
     Zero,
     arity,
-    char_value,
     const_expr,
     evaluate,
     evaluate_costed,
     oracle_evaluate,
 )
-from tests.helpers import gen_expr
+from tests.helpers import NotBooleanError, char_value, gen_expr
 
 GENEROUS = 1_000_000
 
