@@ -5,9 +5,12 @@ table over the given state and symbol counts, in one canonical order —
 and each machine is classified under the loop oracle from the blank tape
 (the usual convention for enumeration experiments; other inputs are a
 parameter away).  A run reads only the transitions it consults, so
-machines that agree on those share one oracle run: the sweep walks the
-tree-normal-form prefix tree of Brady (1983) depth first, runs each
-distinct consulted prefix once, and writes the leaf's outcome at the
+machines that agree on those share one oracle run.  ``sweep_leaves``
+walks the tree-normal-form prefix tree of Brady (1983), runs each
+distinct consulted prefix once, and yields each leaf, the slots it
+decides and its outcome, once in canonical order.  That walk is the
+one place the tree is walked; its readers take what they need from the
+leaves.  ``classify_all`` is one: it writes each leaf's outcome at the
 canonical index of every machine below it, while every halting or
 looping verdict is still audited by replay against its own machine.
 A report is two columns addressed by canonical index, outcomes and
@@ -38,6 +41,7 @@ import time
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import islice, product
 from pathlib import Path
 from typing import TextIO
@@ -90,11 +94,9 @@ class MachineClass:
         return per_slot**slots
 
 
-def _slots_and_options(
-    mclass: MachineClass,
-) -> tuple[list[tuple[int, int]], list[Transition | None]]:
-    """The class's table slots in canonical order and the options each
-    slot cycles through, "absent" (None) first; refuses oversized classes."""
+def _options(mclass: MachineClass) -> list[Transition | None]:
+    """The options each of the class's table slots cycles through,
+    "absent" (None) first; refuses oversized classes."""
     # Multiply one slot at a time instead of reading ``mclass.size``:
     # that power can run to thousands of digits.  per_slot is at least
     # 3, so the product passes the guard within 15 factors.
@@ -107,11 +109,6 @@ def _slots_and_options(
             raise ValueError(
                 f"class holds {per_slot}**{count} machines, beyond the guard of {CLASS_SIZE_GUARD}"
             )
-    slots = [
-        (state, symbol)
-        for state in range(mclass.state_count)
-        for symbol in range(mclass.alphabet_size)
-    ]
     options: list[Transition | None] = [None]
     options += [
         (write, move, nxt)
@@ -119,7 +116,17 @@ def _slots_and_options(
         for move in (LEFT, RIGHT)
         for nxt in range(mclass.state_count)
     ]
-    return slots, options
+    return options
+
+
+def _machine(
+    mclass: MachineClass, options: Sequence[Transition | None], chosen: Iterable[tuple[int, int]]
+) -> Machine:
+    """The machine with option d at slot k for each (k, d) chosen; the
+    slots left out, and those with option 0, are absent.  Slots are
+    state-major, so slot k is (state, symbol) = divmod(k, alphabet size)."""
+    table = {divmod(k, mclass.alphabet_size): options[d] for k, d in chosen if d}
+    return Machine(mclass.state_count, mclass.alphabet_size, table)
 
 
 def validate_sweep(
@@ -134,13 +141,13 @@ def validate_sweep(
 
     Raises ValueError for a class beyond ``CLASS_SIZE_GUARD``, an input
     symbol outside the class's alphabet, a negative budget or a negative
-    history cap.  Past the guard, each rule is asked of its owner: one
-    oracle run of the class's empty table, which halts at once, checks
-    the budget, the cap and the input as every run of the sweep would.
+    history cap.  It is the check ``sweep_leaves`` makes at its call:
+    past the guard, each rule is asked of its owner by the walk's first
+    oracle run, that of the class's empty table, which checks the
+    budget, the cap and the input as every run of the sweep would.  The
+    walk it returns is dropped unread.
     """
-    _slots_and_options(mclass)
-    empty = Machine(mclass.state_count, mclass.alphabet_size, {})
-    run_with_oracle(empty, input_symbols, budget, history_cap)
+    sweep_leaves(mclass, budget, history_cap, input_symbols)
 
 
 def enumerate_class(mclass: MachineClass) -> Iterator[Machine]:
@@ -151,12 +158,10 @@ def enumerate_class(mclass: MachineClass) -> Iterator[Machine]:
     with L before R.  The order is part of the report contract: row k of
     a classification always names the same machine.
     """
-    slots, options = _slots_and_options(mclass)
-    for assignment in product(options, repeat=len(slots)):
-        table = {
-            slot: rule for slot, rule in zip(slots, assignment) if rule is not None
-        }
-        yield Machine(mclass.state_count, mclass.alphabet_size, table)
+    options = _options(mclass)
+    slots = mclass.state_count * mclass.alphabet_size
+    for digits in product(range(len(options)), repeat=slots):
+        yield _machine(mclass, options, enumerate(digits))
 
 
 def _rule_code(rule: Transition | None) -> str:
@@ -205,8 +210,7 @@ class MachineIds(Sequence[str]):
     """
 
     def __init__(self, mclass: MachineClass) -> None:
-        _, options = _slots_and_options(mclass)
-        codes = [_rule_code(rule) for rule in options]
+        codes = [_rule_code(rule) for rule in _options(mclass)]
         self._segments = ["".join(t) for t in product(codes, repeat=mclass.alphabet_size)]
         self._states = mclass.state_count
 
@@ -282,6 +286,68 @@ def _outcome_fields(outcome: RunOutcome) -> tuple[str, int, int | str, int | str
     return tag, outcome.steps, "", ""
 
 
+def sweep_leaves(
+    mclass: MachineClass,
+    budget: int = DEFAULT_BUDGET,
+    history_cap: int | None = DEFAULT_HISTORY_CAP,
+    input_symbols: tuple[int, ...] = (),
+) -> Iterator[tuple[dict[int, int], RunOutcome]]:
+    """Walk the class's prefix tree, yielding each leaf as (decided, outcome).
+
+    A deterministic run, its fingerprint confirmations and its final
+    halt lookup read only the slots it consults, so every machine that
+    agrees on those slots gets the same outcome.  A node of the tree is
+    a choice of option index for some slots, ``decided`` (slot index to
+    option index, 0 meaning absent), and costs one oracle run on those
+    rules.  A run that halts on an undecided slot branches there, one
+    child per option; the "absent" child has the node's own table, so it
+    reuses this outcome without running again and is a leaf.  Any other
+    outcome makes the node itself a leaf, shared by every choice of its
+    undecided slots.  Each run thus yields exactly one leaf, so the leaf
+    count is the number of oracle runs, one per distinct consulted
+    prefix, not one per machine; and the leaves partition the class.
+
+    A machine's canonical index is the mixed-radix number its option
+    indices spell, slot 0 first.  Leaves come in canonical order: by the
+    index of their first machine, the one with every undecided slot
+    absent.  A budget leaf yields ``BudgetExceeded(steps, None,
+    history_capped)`` in place of the run's outcome: no reader keeps the
+    last configuration, and holding the snapshots costs memory.
+
+    The class guard and the root's run, that of the empty table, happen
+    at the call, before the walk is returned, so bad arguments raise
+    ValueError before any reader allocates anything (``validate_sweep``).
+    """
+    options = _options(mclass)
+    input_symbols = tuple(input_symbols)
+    radix, slots = len(options), mclass.state_count * mclass.alphabet_size
+    root = run_with_oracle(_machine(mclass, options, ()), input_symbols, budget, history_cap)
+
+    def walk(outcome: RunOutcome) -> Iterator[tuple[dict[int, int], RunOutcome]]:
+        # Nodes waiting to run, keyed by their first machine's index.
+        # Waiting nodes are disjoint, so no two share a key.
+        first, decided, waiting = 0, {}, []
+        while True:
+            if isinstance(outcome, BudgetExceeded):
+                outcome = BudgetExceeded(outcome.steps, None, outcome.history_capped)
+            elif isinstance(outcome, Halted):
+                final = outcome.final_id
+                # Slots are state-major, so this is the halting slot's index.
+                k = final.state * mclass.alphabet_size + final.symbol_at(final.head)
+                if k not in decided:
+                    for d in range(1, radix):
+                        heappush(waiting, (first + d * radix ** (slots - 1 - k), {**decided, k: d}))
+                    decided = {**decided, k: 0}
+            yield decided, outcome
+            if not waiting:
+                return
+            first, decided = heappop(waiting)
+            machine = _machine(mclass, options, decided.items())
+            outcome = run_with_oracle(machine, input_symbols, budget, history_cap)
+
+    return walk(root)
+
+
 def classify_all(
     mclass: MachineClass,
     budget: int = DEFAULT_BUDGET,
@@ -290,67 +356,28 @@ def classify_all(
 ) -> ClassificationReport:
     """Run the oracle over the whole class and audit every verdict.
 
-    Bad arguments are refused before any work: ``validate_sweep`` checks
-    the class size, the budget, the history cap and the input first, so
-    a ValueError comes before any column is allocated.
-
-    A deterministic run, its fingerprint confirmations and its final
-    halt lookup read only the slots it consults, so every machine that
-    agrees on those slots gets the same outcome.  The sweep therefore
-    walks the prefix tree over partial tables depth first: a node is a
-    choice of option index for some slots and costs one oracle run on
-    those rules.  A run that halts on an undecided slot branches there,
-    one child per option; the "absent" child has the node's own table,
-    so it reuses this outcome without running again.  Any other outcome
-    is a leaf shared by every choice of the undecided slots, and each of
-    those machines has a canonical index, the mixed-radix number its
-    option indices spell in enumeration order.  ``oracle_runs`` counts
-    the runs made, one per distinct consulted prefix, not one per
-    machine.
-
-    The report holds two columns addressed by canonical index: a leaf
-    writes its one outcome object at each of its indices in
-    ``outcomes``, and ``report.ids`` derives each machine's id from its
-    index (``MachineIds``).  Halted and LoopDetected leaves build each
-    of their machines and re-check the verdict by oracle-free replay
+    One reader of ``sweep_leaves``, which refuses bad arguments at its
+    call, before any column is allocated.  The report holds two columns
+    addressed by canonical index: each leaf writes its one outcome
+    object at each of its machines' indices in ``outcomes``, and
+    ``report.ids`` derives each machine's id from its index
+    (``MachineIds``).  Halted and LoopDetected leaves build each of
+    their machines and re-check the verdict by oracle-free replay
     against it, writing the result in ``audits``; machines that merely
     ran out of budget build no machine and keep the audit flag None.
-    A budget leaf stores ``BudgetExceeded(steps, None, history_capped)``
-    in place of the run's outcome: no row prints the last
-    configuration, and the snapshots were almost all of the report's
-    memory.  ``run_with_oracle`` itself still returns the snapshot.
+    ``oracle_runs`` is the number of leaves, which is the number of
+    runs the walk made.  ``run_with_oracle`` itself still returns a
+    budget outcome's snapshot; the walk drops it.
     """
     input_symbols = tuple(input_symbols)
-    validate_sweep(mclass, input_symbols, budget=budget, history_cap=history_cap)
-    slots, options = _slots_and_options(mclass)
-    radix = len(options)
+    started = time.perf_counter()
+    leaves = sweep_leaves(mclass, budget, history_cap, input_symbols)
+    options = _options(mclass)
+    radix, slots = len(options), mclass.state_count * mclass.alphabet_size
     outcomes: list = [None] * mclass.size
     audits: list[bool | None] = [None] * mclass.size
-    runs = 0
-
-    def build(chosen: Iterable[tuple[int, int]]) -> Machine:
-        """The machine with option d at slot k for each (k, d) chosen."""
-        table = {slots[k]: options[d] for k, d in chosen if d}
-        return Machine(mclass.state_count, mclass.alphabet_size, table)
-
-    def explore(decided: dict[int, int], outcome: RunOutcome | None) -> None:
-        nonlocal runs
-        if outcome is None:
-            partial = build(decided.items())
-            outcome = run_with_oracle(partial, input_symbols, budget, history_cap)
-            runs += 1
-            if isinstance(outcome, BudgetExceeded):
-                # No row prints the last configuration; keep only what rows read.
-                outcome = BudgetExceeded(outcome.steps, None, outcome.history_capped)
-            elif isinstance(outcome, Halted):
-                final = outcome.final_id
-                # Slots are state-major, so this is the halting slot's index.
-                k = final.state * mclass.alphabet_size + final.symbol_at(final.head)
-                if k not in decided:
-                    for d in range(radix):
-                        explore({**decided, k: d}, None if d else outcome)
-                    return
-        choices = [(decided[k],) if k in decided else range(radix) for k in range(len(slots))]
+    for runs, (decided, outcome) in enumerate(leaves, 1):
+        choices = [(decided[k],) if k in decided else range(radix) for k in range(slots)]
         # The leaf's indices in ascending order, one digit at a time.
         indices = [0]
         for choice in choices:
@@ -359,12 +386,8 @@ def classify_all(
             outcomes[index] = outcome
         if isinstance(outcome, (Halted, LoopDetected)):
             for index, digits in zip(indices, product(*choices)):
-                machine = build(enumerate(digits))
+                machine = _machine(mclass, options, enumerate(digits))
                 audits[index] = replay_verify(machine, input_symbols, outcome)
-
-    started = time.perf_counter()
-    explore({}, None)
-    wall = time.perf_counter() - started
     return ClassificationReport(
         mclass=mclass,
         budget=budget,
@@ -372,7 +395,7 @@ def classify_all(
         input_symbols=input_symbols,
         outcomes=outcomes,
         audits=audits,
-        wall_seconds=wall,
+        wall_seconds=time.perf_counter() - started,
         oracle_runs=runs,
     )
 
@@ -587,10 +610,6 @@ class TrioFixture:
     expect: str | None
 
 
-def verdict_tag(verdict) -> str:
-    return reading(verdict)[0]
-
-
 def load_fixture(path: str | Path) -> TrioFixture:
     """Read one ``.task`` descriptor and the files it references.
 
@@ -707,7 +726,7 @@ def run_fixture_suite(directory: str | Path) -> SuiteReport:
     for fixture in fixtures:
         record = classify_corpus_entry(fixture.task, label=fixture.name)
         records.append(record)
-        got = verdict_tag(record.verdict)
+        got = reading(record.verdict)[0]
         if fixture.expect is not None and got != fixture.expect:
             mismatches.append(
                 f"{fixture.name}: expected {fixture.expect}, got {got}"

@@ -14,7 +14,7 @@ cells are never stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 BLANK = 0
 LEFT = "L"
@@ -97,9 +97,6 @@ class InstantaneousDescription:
             if pos == cell:
                 return sym
         return BLANK
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.tape)
 
 
 def initial_id(machine: Machine, input_symbols: Iterable[int] = ()) -> InstantaneousDescription:

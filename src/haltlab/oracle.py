@@ -139,9 +139,9 @@ class BudgetExceeded:
 
     ``history_capped`` distinguishes "step budget spent" from "recorder
     entry cap reached"; both are honest non-answers.  ``last_id`` is the
-    configuration the run stopped in, except in a sweep report
-    (``experiments.classify_all``), whose budget rows keep only the step
-    count and the cap flag and hold None there.
+    configuration the run stopped in, except in a sweep's budget leaves
+    and report rows (``experiments.sweep_leaves``, ``classify_all``),
+    which keep only the step count and the cap flag and hold None there.
     """
 
     steps: int
@@ -533,7 +533,8 @@ def replay_verify(machine: Machine, input_symbols: Iterable[int], outcome: RunOu
     configuration(first_index + period); BudgetExceeded must reach the
     claimed step count alive with the claimed last configuration.  A
     BudgetExceeded whose ``last_id`` is None, as a sweep report's budget
-    rows are, claims no configuration to replay to, so it returns False.
+    rows are, claims no configuration to replay to, so it returns False
+    before any step is replayed.
     """
     if isinstance(outcome, LoopDetected):
         if outcome.first_index < 0 or outcome.period < 1:
@@ -543,11 +544,12 @@ def replay_verify(machine: Machine, input_symbols: Iterable[int], outcome: RunOu
             return False
         seen = (plain.state, plain.head, dict(plain.tape))
         return not plain.execute(outcome.period) and seen == (plain.state, plain.head, plain.tape)
-    if not isinstance(outcome, (Halted, BudgetExceeded)) or outcome.steps < 0:
+    claimed = outcome.final_id if isinstance(outcome, Halted) else getattr(outcome, "last_id", None)
+    if claimed is None or outcome.steps < 0:
         return False
     plain = PlainRun(machine, input_symbols)
     if plain.execute(outcome.steps):
         return False
     if isinstance(outcome, Halted):
-        return plain.at_halt() and plain.snapshot() == outcome.final_id
-    return plain.snapshot() == outcome.last_id
+        return plain.at_halt() and plain.snapshot() == claimed
+    return plain.snapshot() == claimed

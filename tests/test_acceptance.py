@@ -27,9 +27,8 @@ from haltlab.experiments import (
     falsify_demo,
     report_to_csv,
     run_fixture_suite,
-    verdict_tag,
 )
-from haltlab.trio import UNDETERMINED, Proved
+from haltlab.trio import UNDETERMINED, Proved, reading
 from tests.helpers import confined_machine, gen_expr, gen_machine
 
 FIXTURES = "fixtures/trio"
@@ -163,10 +162,10 @@ def test_fixture_verdicts_cover_the_trichotomy_and_its_fourth_case():
     report = run_fixture_suite(FIXTURES)
     assert report.ok
     by_name = {rec.label: rec for rec in report.records}
-    assert verdict_tag(by_name["found_min_zero"].verdict) == "found"
-    assert verdict_tag(by_name["loop_self_termination"].verdict) == "self_terminated"
-    assert verdict_tag(by_name["proved_nonzero"].verdict) == "proved"
-    assert verdict_tag(by_name["exhausted_budget"].verdict) == "exhausted"
+    assert reading(by_name["found_min_zero"].verdict)[0] == "found"
+    assert reading(by_name["loop_self_termination"].verdict)[0] == "self_terminated"
+    assert reading(by_name["proved_nonzero"].verdict)[0] == "proved"
+    assert reading(by_name["exhausted_budget"].verdict)[0] == "exhausted"
 
     for name in ("found_min_zero", "loop_self_termination", "proved_nonzero"):
         assert by_name[name].audit_passed is True, name

@@ -55,8 +55,8 @@ def test_the_tracer_wraps_live_attributes_and_restores_them(benchmarks_on_path):
     )
     assert layers == {
         "experiments.classify_all.calls": 1,
-        # One run per distinct consulted prefix, plus validate_sweep's run.
-        "oracle.run_with_oracle.calls": report.oracle_runs + 1,
+        # One run per distinct consulted prefix, the root's included.
+        "oracle.run_with_oracle.calls": report.oracle_runs,
         "oracle.replay_verify.calls": counts["halted"] + counts["loop_detected"],
     }
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import itertools
 import random
 import shutil
 import tracemalloc
@@ -38,6 +39,7 @@ from haltlab.experiments import (
     suite_text,
     suite_to_csv,
     summary_text,
+    sweep_leaves,
     validate_sweep,
     write_report_csv,
 )
@@ -173,6 +175,23 @@ def test_prefix_tree_sweep_matches_one_run_per_machine(
     halts = [o.steps for o in outcomes if isinstance(o, Halted)]
     assert report.max_halt_steps == (max(halts) if halts else None)
     assert report.all_audits_passed == all(a is not False for a in audits)
+
+    # The walk's leaves partition the class, one leaf per oracle run, in
+    # ascending order of their first machine's index.
+    leaves = list(sweep_leaves(mclass, budget, history_cap, input_symbols))
+    slots, radix = states * symbols, 2 * states * symbols + 1
+    assert sum(radix ** (slots - len(decided)) for decided, _ in leaves) == mclass.size
+    written = []
+    for decided, outcome in leaves:
+        choices = [(decided[k],) if k in decided else range(radix) for k in range(slots)]
+        indices = [sum(d * radix ** (slots - 1 - k) for k, d in enumerate(digits))
+                   for digits in itertools.product(*choices)]
+        assert all(report.outcomes[i] == outcome for i in indices)
+        written += indices
+    assert len(set(written)) == len(written) == mclass.size
+    firsts = [sum(d * radix ** (slots - 1 - k) for k, d in decided.items()) for decided, _ in leaves]
+    assert firsts == sorted(firsts)
+    assert len(leaves) == report.oracle_runs
 
 
 def test_compact_ids_cover_every_class_within_the_guard():
@@ -569,6 +588,9 @@ def test_a_sweep_refuses_bad_arguments_before_any_work(bad, reason):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+    # The walk refuses at its call, before its first leaf is asked for.
+    with pytest.raises(ValueError, match=reason):
+        sweep_leaves(mclass, **bad)
     input_symbols = bad.pop("input_symbols", ())
     with pytest.raises(ValueError, match=reason):
         validate_sweep(mclass, input_symbols, **bad)

@@ -220,14 +220,21 @@ def test_replay_rejects_corrupted_outcomes():
     assert not replay_verify(m, (0, 0, 1), true_halt.final_id)
 
 
-def test_replay_refuses_a_budget_claim_without_a_configuration():
+def test_replay_refuses_a_budget_claim_without_a_configuration(monkeypatch):
     """A sweep's budget rows keep no last configuration, so there is
-    nothing to replay to: the audit says False, never a pass."""
+    nothing to replay to: the audit says False, never a pass, and takes
+    no step to say it."""
     outcome = run_with_oracle(runner(), (), budget=10)
     assert isinstance(outcome, BudgetExceeded) and replay_verify(runner(), (), outcome)
+
+    def refuse(self, n):
+        raise AssertionError("replayed a claim with no configuration")
+
+    monkeypatch.setattr(oracle.PlainRun, "execute", refuse)
     for capped in (False, True):
-        bare = BudgetExceeded(outcome.steps, None, history_capped=capped)
-        assert not replay_verify(runner(), (), bare)
+        for steps in (outcome.steps, 10**6):
+            bare = BudgetExceeded(steps, None, history_capped=capped)
+            assert not replay_verify(runner(), (), bare)
 
 
 def test_replay_accepts_any_true_recurrence_not_only_the_first():
