@@ -11,8 +11,10 @@ distinct consulted prefix once, and yields each leaf, the slots it
 decides and its outcome, once in canonical order.  That walk is the
 one place the tree is walked; its readers take what they need from the
 leaves.  ``classify_all`` is one: it writes each leaf's outcome at the
-canonical index of every machine below it, while every halting or
-looping verdict is still audited by replay against its own machine.
+canonical index of every machine below it, audits each halting or
+looping leaf by one oracle-free replay against the leaf's own partial
+table, and passes a row only when its table, decoded from its index,
+agrees with the leaf on every slot the leaf decides.
 A report is two columns addressed by canonical index, outcomes and
 audit flags; a machine's id is derived from its index, so no id is
 stored and no row object is ever built.  Classification reports are
@@ -127,6 +129,22 @@ def _machine(
     state-major, so slot k is (state, symbol) = divmod(k, alphabet size)."""
     table = {divmod(k, mclass.alphabet_size): options[d] for k, d in chosen if d}
     return Machine(mclass.state_count, mclass.alphabet_size, table)
+
+
+def _halt_slot(mclass: MachineClass, outcome: Halted) -> int:
+    """The index of the slot whose absent rule stopped a halted run:
+    slots are state-major, so it is state times symbols plus symbol."""
+    final = outcome.final_id
+    return final.state * mclass.alphabet_size + final.symbol_at(final.head)
+
+
+def _digits(index: int, radix: int, slots: int) -> list[int]:
+    """The option index at each slot of the machine at canonical
+    ``index``, slot 0 first: the index's digits in base ``radix``."""
+    digits = [0] * slots
+    for k in reversed(range(slots)):
+        index, digits[k] = divmod(index, radix)
+    return digits
 
 
 def validate_sweep(
@@ -331,9 +349,7 @@ def sweep_leaves(
             if isinstance(outcome, BudgetExceeded):
                 outcome = BudgetExceeded(outcome.steps, None, outcome.history_capped)
             elif isinstance(outcome, Halted):
-                final = outcome.final_id
-                # Slots are state-major, so this is the halting slot's index.
-                k = final.state * mclass.alphabet_size + final.symbol_at(final.head)
+                k = _halt_slot(mclass, outcome)
                 if k not in decided:
                     for d in range(1, radix):
                         heappush(waiting, (first + d * radix ** (slots - 1 - k), {**decided, k: d}))
@@ -361,13 +377,27 @@ def classify_all(
     addressed by canonical index: each leaf writes its one outcome
     object at each of its machines' indices in ``outcomes``, and
     ``report.ids`` derives each machine's id from its index
-    (``MachineIds``).  Halted and LoopDetected leaves build each of
-    their machines and re-check the verdict by oracle-free replay
-    against it, writing the result in ``audits``; machines that merely
-    ran out of budget build no machine and keep the audit flag None.
-    ``oracle_runs`` is the number of leaves, which is the number of
-    runs the walk made.  ``run_with_oracle`` itself still returns a
-    budget outcome's snapshot; the walk drops it.
+    (``MachineIds``).  ``oracle_runs`` is the number of leaves, which is
+    the number of runs the walk made.  ``run_with_oracle`` itself still
+    returns a budget outcome's snapshot; the walk drops it.
+
+    A Halted or LoopDetected leaf is audited by one oracle-free replay
+    of its verdict against the leaf's machine, the table with only its
+    decided slots present.  A halt must also stop on a slot the leaf
+    decides absent.  Each row's flag in ``audits`` is that result and a
+    check that the row agrees with the leaf: its option indices, decoded
+    from its canonical index, equal the leaf's on every decided slot.
+    Machines that merely ran out of budget keep the flag None.  This
+    vouches for every row as a replay against its own machine would:
+
+    - Every undecided slot is absent in the leaf's machine, so a replay
+      that reaches the claimed verdict consulted only decided rules.
+      Consulting an undecided slot would have halted it early and failed
+      the claim.
+    - A halt's final lookup falls on a slot decided absent (``k: 0``),
+      so no row has a rule there.
+    - Every row agrees with the leaf on those slots, so by determinism
+      its run is the leaf's run, step for step, to the same verdict.
     """
     input_symbols = tuple(input_symbols)
     started = time.perf_counter()
@@ -385,9 +415,13 @@ def classify_all(
         for index in indices:
             outcomes[index] = outcome
         if isinstance(outcome, (Halted, LoopDetected)):
-            for index, digits in zip(indices, product(*choices)):
-                machine = _machine(mclass, options, enumerate(digits))
-                audits[index] = replay_verify(machine, input_symbols, outcome)
+            leaf = _machine(mclass, options, decided.items())
+            ok = replay_verify(leaf, input_symbols, outcome)
+            if isinstance(outcome, Halted):
+                ok = ok and decided.get(_halt_slot(mclass, outcome)) == 0
+            for index in indices:
+                digits = _digits(index, radix, slots)
+                audits[index] = ok and all(digits[k] == d for k, d in decided.items())
     return ClassificationReport(
         mclass=mclass,
         budget=budget,

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterable
+from dataclasses import replace
 
 from hypothesis import strategies as st
 
+from haltlab import experiments
 from haltlab.machine import LEFT, RIGHT, Machine
+from haltlab.oracle import Halted, LoopDetected
 from haltlab.recfun import (
     Compose,
     FuelExhausted,
@@ -184,3 +187,32 @@ class RestartingTrioRun(TrioRun):
                 return Found(self._t1_candidate, self.t1_spent)
             self._t1_candidate += 1
         return None
+
+
+def tamper_one_leaf(monkeypatch, kind: type) -> list[dict[int, int]]:
+    """Make ``experiments.sweep_leaves`` yield one false claim: the first
+    leaf of outcome type ``kind`` halts one step late (Halted) or loops
+    with its period plus one (LoopDetected), which is false for a loop of
+    period 2 or more.  The real walk still runs, and still refuses bad
+    arguments at its call.  Returns the list that receives the tampered
+    leaf's decided slots."""
+    walk = experiments.sweep_leaves
+    tampered: list[dict[int, int]] = []
+
+    def sweep_leaves(*args, **kwargs):
+        leaves = walk(*args, **kwargs)
+
+        def tampering():
+            for decided, outcome in leaves:
+                if not tampered and isinstance(outcome, kind):
+                    if kind is Halted:
+                        outcome = replace(outcome, steps=outcome.steps + 1)
+                    else:
+                        outcome = replace(outcome, period=outcome.period + 1)
+                    tampered.append(decided)
+                yield decided, outcome
+
+        return tampering()
+
+    monkeypatch.setattr(experiments, "sweep_leaves", sweep_leaves)
+    return tampered

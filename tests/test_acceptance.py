@@ -24,6 +24,7 @@ from haltlab.recfun import FuelExhausted, evaluate, oracle_evaluate
 from haltlab.experiments import (
     MachineClass,
     classify_all,
+    enumerate_class,
     falsify_demo,
     report_to_csv,
     run_fixture_suite,
@@ -37,7 +38,9 @@ FIXTURES = "fixtures/trio"
 def test_two_state_class_sweep_is_audited_fast_and_reproducible():
     """Full 2-state 2-symbol census, budget 10^4: every halting or
     looping verdict survives an oracle-free replay, each run stays under
-    two minutes, and three repeated runs emit byte-identical CSV."""
+    two minutes, and three repeated runs emit byte-identical CSV.  The
+    sweep audits one replay per leaf; here each decided row is also
+    replayed against its own machine, the reference for that audit."""
     csvs = []
     walls = []
     report = None
@@ -61,6 +64,12 @@ def test_two_state_class_sweep_is_audited_fast_and_reproducible():
         if isinstance(outcome, (Halted, LoopDetected))
     ]
     assert audited and all(audited)
+    replayed = [
+        replay_verify(machine, (), outcome)
+        for machine, outcome in zip(enumerate_class(MachineClass(2, 2)), report.outcomes, strict=True)
+        if isinstance(outcome, (Halted, LoopDetected))
+    ]
+    assert len(replayed) == 1439 and all(replayed)
 
     counts = report.counts
     assert sum(counts.values()) == MachineClass(2, 2).size == 6561
@@ -69,7 +78,7 @@ def test_two_state_class_sweep_is_audited_fast_and_reproducible():
     assert counts == {"halted": 1165, "loop_detected": 274, "budget_exceeded": 5122}
     print(
         f"PASS: class sweep 3x6561 machines, counts {counts}, "
-        f"audits 100% on {len(audited)} decided rows, "
+        f"audits 100% on {len(audited)} decided rows, each also replayed on its own machine, "
         f"walls {', '.join(f'{w:.1f}s' for w in walls)}, byte-identical CSV"
     )
 

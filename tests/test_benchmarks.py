@@ -49,7 +49,11 @@ def test_the_tracer_wraps_live_attributes_and_restores_them(benchmarks_on_path):
         assert now.keys() == saved.keys()
         for attr, value in saved.items():
             assert now[attr] is value, f"{owner.__name__}.{attr} was not restored"
-    counts = report.counts
+    decided_leaves = [
+        outcome
+        for _, outcome in experiments.sweep_leaves(experiments.MachineClass(1, 2), budget=50)
+        if isinstance(outcome, (oracle.Halted, oracle.LoopDetected))
+    ]
     layers = tracer.per_layer(
         ["experiments.classify_all.calls", "oracle.run_with_oracle.calls", "oracle.replay_verify.calls"]
     )
@@ -57,8 +61,10 @@ def test_the_tracer_wraps_live_attributes_and_restores_them(benchmarks_on_path):
         "experiments.classify_all.calls": 1,
         # One run per distinct consulted prefix, the root's included.
         "oracle.run_with_oracle.calls": report.oracle_runs,
-        "oracle.replay_verify.calls": counts["halted"] + counts["loop_detected"],
+        # One replay per halted or looped leaf, not one per row.
+        "oracle.replay_verify.calls": len(decided_leaves),
     }
+    assert len(decided_leaves) == 1 < report.counts["halted"]
 
 
 def test_the_benchmark_checkers_pass_their_self_tests(benchmarks_on_path):

@@ -6,6 +6,8 @@ import pytest
 
 from haltlab import cli
 from haltlab.cli import main
+from haltlab.oracle import Halted, LoopDetected
+from tests.helpers import tamper_one_leaf
 
 FIXTURES = "fixtures/trio"
 
@@ -31,6 +33,17 @@ def test_classify_out_flag_redirects_the_csv(tmp_path, capsys):
     assert body.startswith("machine_id,outcome")
     assert "halted: 5" in captured.out
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("kind", [Halted, LoopDetected])
+def test_classify_exits_1_on_a_failed_audit(monkeypatch, capsys, kind):
+    tampered = tamper_one_leaf(monkeypatch, kind)
+    code = main(["classify", "--states", "2", "--symbols", "2", "--budget", "1000"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "audits: FAILURES PRESENT" in captured.err
+    (decided,) = tampered
+    assert captured.out.count(",false\n") == 9 ** (4 - len(decided)) > 1
 
 
 def test_classify_refuses_oversized_classes(capsys):

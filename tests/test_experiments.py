@@ -45,6 +45,7 @@ from haltlab.experiments import (
 )
 from haltlab.recfun import MONUS, Compose, Proj, const_expr
 from haltlab.trio import UNDETERMINED
+from tests.helpers import tamper_one_leaf
 
 FIXTURES = "fixtures/trio"
 
@@ -192,6 +193,45 @@ def test_prefix_tree_sweep_matches_one_run_per_machine(
     firsts = [sum(d * radix ** (slots - 1 - k) for k, d in decided.items()) for decided, _ in leaves]
     assert firsts == sorted(firsts)
     assert len(leaves) == report.oracle_runs
+
+
+@pytest.mark.parametrize("kind", [Halted, LoopDetected])
+def test_the_leaf_audit_fails_every_row_of_a_false_leaf(monkeypatch, kind):
+    """One replay audits a whole leaf, so a false leaf fails all its rows
+    and only those."""
+    tampered = tamper_one_leaf(monkeypatch, kind)
+    report = classify_all(MachineClass(2, 2), budget=1_000)
+    (decided,) = tampered
+    radix, slots = 9, 4
+    in_leaf = 0
+    rows = zip(itertools.product(range(radix), repeat=slots), report.outcomes, report.audits)
+    for digits, outcome, audit in rows:
+        if all(digits[k] == d for k, d in decided.items()):
+            in_leaf += 1
+            assert isinstance(outcome, kind) and audit is False
+        elif isinstance(outcome, (Halted, LoopDetected)):
+            assert audit is True
+        else:
+            assert audit is None
+    assert in_leaf == radix ** (slots - len(decided)) > 1
+    assert not report.all_audits_passed
+
+
+def test_the_leaf_audit_fails_a_halt_on_an_undecided_slot(monkeypatch):
+    """A halted leaf must decide its halting slot absent; one that leaves
+    it undecided also claims the halt for machines with a rule there."""
+    walk = experiments.sweep_leaves
+
+    def undecided_halt(*args, **kwargs):
+        for decided, outcome in walk(*args, **kwargs):
+            yield ({} if decided == {0: 0} else decided), outcome
+
+    monkeypatch.setattr(experiments, "sweep_leaves", undecided_halt)
+    report = classify_all(MachineClass(1, 2), budget=50)
+    # The empty table halts at once on slot 0, so the widened leaf claims
+    # that halt for all 25 machines and fails on each of them.
+    assert isinstance(report.outcomes[0], Halted)
+    assert report.audits == [False] * 25
 
 
 def test_compact_ids_cover_every_class_within_the_guard():
