@@ -5,16 +5,20 @@ table over the given state and symbol counts, in one canonical order —
 and each machine is classified under the loop oracle from the blank tape
 (the usual convention for enumeration experiments; other inputs are a
 parameter away).  A run reads only the transitions it consults, so
-machines that agree on those share one oracle run.  ``sweep_leaves``
-walks the tree-normal-form prefix tree of Brady (1983), runs each
-distinct consulted prefix once, and yields each leaf, the slots it
-decides and its outcome, once in canonical order.  That walk is the
-one place the tree is walked; its readers take what they need from the
-leaves.  ``classify_all`` is one: it writes each leaf's outcome at the
-canonical index of every machine below it, audits each halting or
-looping leaf by one oracle-free replay against the leaf's own partial
-table, and passes a row only when its table, decoded from its index,
-agrees with the leaf on every slot the leaf decides.
+machines that agree on those share one outcome.  ``sweep_leaves``
+walks the tree-normal-form prefix tree of Brady (1983) and yields each
+leaf, the slots it decides and its outcome, once in canonical order.
+Relabelling the non-start states, and mirroring L<->R when no input
+cell past cell 0 is non-blank, map the tree's nodes onto each other
+with their outcomes, so the oracle runs once per orbit of that group
+and the other members take the outcome mapped; at budget 10^3, 2x2
+has 297 leaves and 149 runs, 3x2 85,021 leaves and 21,257 runs.  That
+walk is the one place the tree is walked; its readers take what they
+need from the leaves.  ``classify_all`` is one: it writes each leaf's
+outcome at the canonical index of every machine below it, audits each
+halting or looping leaf by one oracle-free replay against the leaf's
+own partial table, and passes a row only when its table, read from its
+index, agrees with the leaf on every slot the leaf decides.
 A report is two columns addressed by canonical index, outcomes and
 audit flags; a machine's id is derived from its index, so no id is
 stored and no row object is ever built.  Classification reports are
@@ -45,11 +49,12 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import islice, product
+from math import perm
 from pathlib import Path
 from typing import TextIO
 
 from .dsl import ParseError, _significant_lines, load_program, parse_natural, parse_naturals
-from .machine import LEFT, Machine, RIGHT, Transition
+from .machine import LEFT, InstantaneousDescription, Machine, RIGHT, Transition
 from .oracle import (
     BudgetExceeded,
     Halted,
@@ -138,13 +143,54 @@ def _halt_slot(mclass: MachineClass, outcome: Halted) -> int:
     return final.state * mclass.alphabet_size + final.symbol_at(final.head)
 
 
-def _digits(index: int, radix: int, slots: int) -> list[int]:
-    """The option index at each slot of the machine at canonical
-    ``index``, slot 0 first: the index's digits in base ``radix``."""
-    digits = [0] * slots
-    for k in reversed(range(slots)):
-        index, digits[k] = divmod(index, radix)
-    return digits
+def _orbit(
+    decided: dict[int, int], states: int, symbols: int, mirrors: bool
+) -> tuple[tuple[int, ...], list[int], bool, int]:
+    """A node's orbit under relabelling its non-start states and, when
+    ``mirrors``, L<->R mirroring: (key, order, mirrored, size).
+
+    Relabel the states in order of first appearance along ``decided``,
+    whose slots come in the order the walk decided them.  Every member of
+    an orbit decides its slots in the image of that order, so this
+    relabelling takes each member to one table; ``key`` spells it, or its
+    mirror image where that spells less (then ``mirrored``).  ``order``
+    lists the states by their new label.  The relabellings that fix the
+    node are those of the states it never names, so the orbit has one
+    member per way to place the named non-start states, twice over when
+    mirroring gives a table no relabelling does.
+    """
+    label, order = {0: 0}, [0]
+    plain, mirror = [], []
+    for k, d in decided.items():
+        state, symbol = divmod(k, symbols)
+        # A node decides rules only: option d >= 1 is 1 + (write, move,
+        # next state) in mixed radix, so pair = write * 2 + move, L = 0.
+        pair, nxt = divmod(d - 1, states)
+        for q in (state, nxt):
+            if q not in label:
+                label[q] = len(order)
+                order.append(q)
+        slot = (label[state] * symbols + symbol) * (2 * states * symbols + 1)
+        plain.append(slot + 1 + pair * states + label[nxt])
+        mirror.append(slot + 1 + (pair ^ 1) * states + label[nxt])
+    key, flipped = tuple(plain), tuple(mirror)
+    size = perm(states - 1, len(order) - 1)
+    if not mirrors or key == flipped:
+        return key, order, False, size
+    return min(key, flipped), order, flipped < key, 2 * size
+
+
+def _moved(outcome: RunOutcome, states: Sequence[int] | dict[int, int], mirrored: bool) -> RunOutcome:
+    """The outcome of a node's image under a relabelling (state q becomes
+    ``states[q]``), mirrored or not: a halt's final state is relabelled
+    and, mirrored, its head and cells negated; other outcomes keep."""
+    if not isinstance(outcome, Halted):
+        return outcome
+    final = outcome.final_id
+    head, tape = final.head, final.tape
+    if mirrored:  # negating the cells reverses their sorted order
+        head, tape = -head, tuple((-cell, symbol) for cell, symbol in reversed(tape))
+    return Halted(outcome.steps, InstantaneousDescription(states[final.state], head, tape))
 
 
 def validate_sweep(
@@ -309,21 +355,33 @@ def sweep_leaves(
     budget: int = DEFAULT_BUDGET,
     history_cap: int | None = DEFAULT_HISTORY_CAP,
     input_symbols: tuple[int, ...] = (),
-) -> Iterator[tuple[dict[int, int], RunOutcome]]:
-    """Walk the class's prefix tree, yielding each leaf as (decided, outcome).
+) -> Iterator[tuple[dict[int, int], RunOutcome, bool]]:
+    """Walk the class's prefix tree, yielding each leaf as (decided, outcome, ran).
 
     A deterministic run, its fingerprint confirmations and its final
     halt lookup read only the slots it consults, so every machine that
     agrees on those slots gets the same outcome.  A node of the tree is
     a choice of option index for some slots, ``decided`` (slot index to
-    option index, 0 meaning absent), and costs one oracle run on those
-    rules.  A run that halts on an undecided slot branches there, one
-    child per option; the "absent" child has the node's own table, so it
-    reuses this outcome without running again and is a leaf.  Any other
-    outcome makes the node itself a leaf, shared by every choice of its
-    undecided slots.  Each run thus yields exactly one leaf, so the leaf
-    count is the number of oracle runs, one per distinct consulted
-    prefix, not one per machine; and the leaves partition the class.
+    option index, 0 meaning absent, in the order the walk decided them),
+    and has the outcome of one oracle run on those rules.  A run that
+    halts on an undecided slot branches there, one child per option; the
+    "absent" child has the node's own table, so it reuses this outcome
+    and is a leaf.  Any other outcome makes the node itself a leaf,
+    shared by every choice of its undecided slots.  So each node yields
+    exactly one leaf, and the leaves partition the class.
+
+    Relabelling the non-start states maps a node to another node with
+    the same outcome, up to the same relabelling; so does mirroring
+    L<->R when no input cell past cell 0 is non-blank, which makes the
+    input its own mirror image.  Both fix the root's halting slot, so
+    the tree is closed under them.  The oracle runs for the first node
+    of each orbit the walk meets (``_orbit``); its outcome is kept
+    mapped onto the orbit's key table, and each later member takes it
+    mapped back through the inverse of the map that took that member to
+    the key table (``_moved``).  ``ran`` is true for a leaf whose node
+    ran, so the leaves with it true count the walk's oracle runs.  An
+    orbit's entry is dropped once its last member is visited, so the
+    walk holds only the orbits still open.
 
     A machine's canonical index is the mixed-radix number its option
     indices spell, slot 0 first.  Leaves come in canonical order: by the
@@ -338,28 +396,50 @@ def sweep_leaves(
     """
     options = _options(mclass)
     input_symbols = tuple(input_symbols)
-    radix, slots = len(options), mclass.state_count * mclass.alphabet_size
-    root = run_with_oracle(_machine(mclass, options, ()), input_symbols, budget, history_cap)
+    states, symbols = mclass.state_count, mclass.alphabet_size
+    radix, slots = len(options), states * symbols
+    mirrors = not any(input_symbols[1:])
 
-    def walk(outcome: RunOutcome) -> Iterator[tuple[dict[int, int], RunOutcome]]:
+    def outcome_of(decided: dict[int, int]) -> RunOutcome:
+        machine = _machine(mclass, options, decided.items())
+        outcome = run_with_oracle(machine, input_symbols, budget, history_cap)
+        if isinstance(outcome, BudgetExceeded):
+            return BudgetExceeded(outcome.steps, None, outcome.history_capped)
+        return outcome
+
+    root = outcome_of({})
+
+    def walk(outcome: RunOutcome) -> Iterator[tuple[dict[int, int], RunOutcome, bool]]:
         # Nodes waiting to run, keyed by their first machine's index.
         # Waiting nodes are disjoint, so no two share a key.
-        first, decided, waiting = 0, {}, []
+        first, decided, waiting, ran = 0, {}, [], True
+        # Open orbits: key -> [outcome of the key's table, members to come]
+        orbits: dict[tuple[int, ...], list] = {}
         while True:
-            if isinstance(outcome, BudgetExceeded):
-                outcome = BudgetExceeded(outcome.steps, None, outcome.history_capped)
-            elif isinstance(outcome, Halted):
+            if isinstance(outcome, Halted):
                 k = _halt_slot(mclass, outcome)
                 if k not in decided:
                     for d in range(1, radix):
                         heappush(waiting, (first + d * radix ** (slots - 1 - k), {**decided, k: d}))
                     decided = {**decided, k: 0}
-            yield decided, outcome
+            yield decided, outcome, ran
             if not waiting:
                 return
             first, decided = heappop(waiting)
-            machine = _machine(mclass, options, decided.items())
-            outcome = run_with_oracle(machine, input_symbols, budget, history_cap)
+            key, order, mirrored, size = _orbit(decided, states, symbols, mirrors)
+            entry = orbits.get(key)
+            ran = entry is None
+            if ran:
+                outcome = outcome_of(decided)
+                if size > 1:
+                    label = {q: i for i, q in enumerate(order)}
+                    orbits[key] = [_moved(outcome, label, mirrored), size - 1]
+            else:
+                # The key's table is this node's image, so map back.
+                outcome = _moved(entry[0], order, mirrored)
+                entry[1] -= 1
+                if not entry[1]:
+                    del orbits[key]
 
     return walk(root)
 
@@ -377,16 +457,18 @@ def classify_all(
     addressed by canonical index: each leaf writes its one outcome
     object at each of its machines' indices in ``outcomes``, and
     ``report.ids`` derives each machine's id from its index
-    (``MachineIds``).  ``oracle_runs`` is the number of leaves, which is
-    the number of runs the walk made.  ``run_with_oracle`` itself still
-    returns a budget outcome's snapshot; the walk drops it.
+    (``MachineIds``).  ``oracle_runs`` counts the leaves the walk ran the
+    oracle for, one per orbit; the others took a mapped outcome.
+    ``run_with_oracle`` itself still returns a budget outcome's snapshot;
+    the walk drops it.
 
-    A Halted or LoopDetected leaf is audited by one oracle-free replay
-    of its verdict against the leaf's machine, the table with only its
-    decided slots present.  A halt must also stop on a slot the leaf
-    decides absent.  Each row's flag in ``audits`` is that result and a
-    check that the row agrees with the leaf: its option indices, decoded
-    from its canonical index, equal the leaf's on every decided slot.
+    A Halted or LoopDetected leaf, whether its outcome was run or
+    mapped, is audited by one oracle-free replay of its verdict against
+    the leaf's machine, the table with only its decided slots present.
+    A halt must also stop on a slot the leaf decides absent.  Each row's
+    flag in ``audits`` is that result and a check that the row agrees
+    with the leaf: its option index at each slot the leaf decides, read
+    as that digit of its canonical index, equals the leaf's.
     Machines that merely ran out of budget keep the flag None.  This
     vouches for every row as a replay against its own machine would:
 
@@ -406,7 +488,9 @@ def classify_all(
     radix, slots = len(options), mclass.state_count * mclass.alphabet_size
     outcomes: list = [None] * mclass.size
     audits: list[bool | None] = [None] * mclass.size
-    for runs, (decided, outcome) in enumerate(leaves, 1):
+    runs = 0
+    for decided, outcome, ran in leaves:
+        runs += ran
         choices = [(decided[k],) if k in decided else range(radix) for k in range(slots)]
         # The leaf's indices in ascending order, one digit at a time.
         indices = [0]
@@ -419,9 +503,10 @@ def classify_all(
             ok = replay_verify(leaf, input_symbols, outcome)
             if isinstance(outcome, Halted):
                 ok = ok and decided.get(_halt_slot(mclass, outcome)) == 0
+            # Slot k is the digit of weight radix**(slots-1-k).
+            digits = [(radix ** (slots - 1 - k), d) for k, d in decided.items()]
             for index in indices:
-                digits = _digits(index, radix, slots)
-                audits[index] = ok and all(digits[k] == d for k, d in decided.items())
+                audits[index] = ok and all(index // weight % radix == d for weight, d in digits)
     return ClassificationReport(
         mclass=mclass,
         budget=budget,

@@ -203,14 +203,14 @@ def tamper_one_leaf(monkeypatch, kind: type) -> list[dict[int, int]]:
         leaves = walk(*args, **kwargs)
 
         def tampering():
-            for decided, outcome in leaves:
+            for decided, outcome, ran in leaves:
                 if not tampered and isinstance(outcome, kind):
                     if kind is Halted:
                         outcome = replace(outcome, steps=outcome.steps + 1)
                     else:
                         outcome = replace(outcome, period=outcome.period + 1)
                     tampered.append(decided)
-                yield decided, outcome
+                yield decided, outcome, ran
 
         return tampering()
 

@@ -51,7 +51,7 @@ def test_the_tracer_wraps_live_attributes_and_restores_them(benchmarks_on_path):
             assert now[attr] is value, f"{owner.__name__}.{attr} was not restored"
     decided_leaves = [
         outcome
-        for _, outcome in experiments.sweep_leaves(experiments.MachineClass(1, 2), budget=50)
+        for _, outcome, _ in experiments.sweep_leaves(experiments.MachineClass(1, 2), budget=50)
         if isinstance(outcome, (oracle.Halted, oracle.LoopDetected))
     ]
     layers = tracer.per_layer(
@@ -59,7 +59,7 @@ def test_the_tracer_wraps_live_attributes_and_restores_them(benchmarks_on_path):
     )
     assert layers == {
         "experiments.classify_all.calls": 1,
-        # One run per distinct consulted prefix, the root's included.
+        # One run per orbit of the prefix tree's nodes, the root's included.
         "oracle.run_with_oracle.calls": report.oracle_runs,
         # One replay per halted or looped leaf, not one per row.
         "oracle.replay_verify.calls": len(decided_leaves),

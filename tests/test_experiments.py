@@ -135,6 +135,12 @@ def _per_machine_rows(mclass, budget, history_cap, input_symbols):
         (2, 2, 300, None, (1, 0, 1)),
         (1, 4, 300, None, (3,)),
         (3, 1, 200, 50, ()),
+        # Blank and single-cell inputs: mirroring pairs nodes.
+        (2, 2, 300, 5, ()),
+        (2, 2, 300, 40, ()),
+        (2, 2, 300, None, (1,)),
+        # Relabelling three non-start states: its group has 3-cycles.
+        (4, 1, 300, None, ()),
     ],
 )
 def test_prefix_tree_sweep_matches_one_run_per_machine(
@@ -177,22 +183,22 @@ def test_prefix_tree_sweep_matches_one_run_per_machine(
     assert report.max_halt_steps == (max(halts) if halts else None)
     assert report.all_audits_passed == all(a is not False for a in audits)
 
-    # The walk's leaves partition the class, one leaf per oracle run, in
-    # ascending order of their first machine's index.
+    # The walk's leaves partition the class, in ascending order of their
+    # first machine's index; the oracle ran for some of them, one per orbit.
     leaves = list(sweep_leaves(mclass, budget, history_cap, input_symbols))
     slots, radix = states * symbols, 2 * states * symbols + 1
-    assert sum(radix ** (slots - len(decided)) for decided, _ in leaves) == mclass.size
+    assert sum(radix ** (slots - len(decided)) for decided, _, _ in leaves) == mclass.size
     written = []
-    for decided, outcome in leaves:
+    for decided, outcome, _ in leaves:
         choices = [(decided[k],) if k in decided else range(radix) for k in range(slots)]
         indices = [sum(d * radix ** (slots - 1 - k) for k, d in enumerate(digits))
                    for digits in itertools.product(*choices)]
         assert all(report.outcomes[i] == outcome for i in indices)
         written += indices
     assert len(set(written)) == len(written) == mclass.size
-    firsts = [sum(d * radix ** (slots - 1 - k) for k, d in decided.items()) for decided, _ in leaves]
+    firsts = [sum(d * radix ** (slots - 1 - k) for k, d in decided.items()) for decided, _, _ in leaves]
     assert firsts == sorted(firsts)
-    assert len(leaves) == report.oracle_runs
+    assert report.oracle_runs == sum(ran for _, _, ran in leaves) <= len(leaves)
 
 
 @pytest.mark.parametrize("kind", [Halted, LoopDetected])
@@ -223,8 +229,8 @@ def test_the_leaf_audit_fails_a_halt_on_an_undecided_slot(monkeypatch):
     walk = experiments.sweep_leaves
 
     def undecided_halt(*args, **kwargs):
-        for decided, outcome in walk(*args, **kwargs):
-            yield ({} if decided == {0: 0} else decided), outcome
+        for decided, outcome, ran in walk(*args, **kwargs):
+            yield ({} if decided == {0: 0} else decided), outcome, ran
 
     monkeypatch.setattr(experiments, "sweep_leaves", undecided_halt)
     report = classify_all(MachineClass(1, 2), budget=50)
@@ -247,16 +253,90 @@ def test_compact_ids_cover_every_class_within_the_guard():
 
 def test_two_state_sweep_shares_runs_between_machines():
     report = classify_all(MachineClass(2, 2), budget=1_000)
-    assert report.oracle_runs == 297
+    # 297 leaves, one per node of the prefix tree; mirroring pairs them
+    # into 149 orbits, and the oracle runs once per orbit.
+    leaves = list(sweep_leaves(MachineClass(2, 2), budget=1_000))
+    assert len(leaves) == 297
+    assert report.oracle_runs == sum(ran for _, _, ran in leaves) == 149
     assert report.counts == {"halted": 1165, "loop_detected": 274, "budget_exceeded": 5122}
     assert report.all_audits_passed
-    assert "oracle runs: 297 for 6561 machines" in summary_text(report)
+    assert "oracle runs: 149 for 6561 machines" in summary_text(report)
     # The CSV bytes of the per-machine sweep, pinned before rows became columns.
     digest = hashlib.sha256(report_to_csv(report).encode("utf-8")).hexdigest()
     assert digest == "a4e4be1dc6010618733d6230b5e1a2b1d4de063795f861c1eefa13b2101de35c"
     # S(2,2) = 6 counts the halting transition; here a halt is an absent
     # rule and executes no step, so the class's longest halt reads 5.
     assert report.max_halt_steps == 5
+
+
+@pytest.mark.parametrize(
+    "states, symbols, budget, history_cap, input_symbols, reduced",
+    [
+        (2, 2, 300, 40, (), True),
+        (2, 2, 300, None, (1,), True),
+        (3, 1, 200, 50, (), True),
+        (4, 1, 300, None, (), True),
+        # An input cell past cell 0 turns mirroring off, and two states
+        # leave nothing to relabel.
+        (2, 2, 300, None, (1, 0, 1), False),
+    ],
+)
+def test_every_leaf_has_the_outcome_of_its_own_table(
+    states, symbols, budget, history_cap, input_symbols, reduced
+):
+    """A leaf whose outcome was mapped from its orbit's one run has the
+    outcome of a run on its own partial table, as a run leaf has."""
+    options = [None, *itertools.product(range(symbols), (LEFT, RIGHT), range(states))]
+    leaves = list(sweep_leaves(MachineClass(states, symbols), budget, history_cap, input_symbols))
+    for decided, outcome, _ in leaves:
+        table = {divmod(k, symbols): options[d] for k, d in decided.items() if d}
+        own = run_with_oracle(Machine(states, symbols, table), input_symbols, budget, history_cap)
+        if isinstance(own, BudgetExceeded):
+            own = BudgetExceeded(own.steps, None, own.history_capped)
+        assert outcome == own, decided
+    mapped = [outcome for _, outcome, ran in leaves if not ran]
+    assert any(isinstance(outcome, Halted) for outcome in mapped) == reduced
+    assert bool(mapped) == reduced
+
+
+class _Sha256Stream:
+    """A text stream that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def write(self, text):
+        self.hash.update(text.encode("utf-8"))
+
+
+@pytest.mark.parametrize(
+    "states, symbols, counts, max_halt, runs, digest",
+    [
+        (
+            3, 2, {"halted": 790_025, "loop_detected": 282_044, "budget_exceeded": 3_754_740},
+            20, 21_257, "0b3b323c0d6354614d33e425c815831b37705e23f9371c8e97c15b97f2f38bce",
+        ),
+        (
+            2, 3, {"halted": 645_595, "loop_detected": 136_730, "budget_exceeded": 4_044_484},
+            37, 21_787, "a1b5461688741127a54248343e78682ec68ca01fd47d47e18bad809c9682291e",
+        ),
+    ],
+)
+def test_three_state_and_three_symbol_sweeps_are_pinned(
+    states, symbols, counts, max_halt, runs, digest
+):
+    """The 3x2 and 2x3 sweeps at budget 10^3, pinned by their CSV bytes as
+    the sweep wrote them with one oracle run per prefix; 3x2 is the
+    smallest class where relabelling states maps one node to another."""
+    report = classify_all(MachineClass(states, symbols), budget=1_000)
+    assert report.counts == counts
+    # One less than S(3,2) = 21 and S(2,3) = 38: a halt executes no step.
+    assert report.max_halt_steps == max_halt
+    assert report.all_audits_passed
+    assert report.oracle_runs == runs
+    stream = _Sha256Stream()
+    write_report_csv(report, stream)
+    assert stream.hash.hexdigest() == digest
 
 
 @pytest.mark.parametrize(

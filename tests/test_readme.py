@@ -38,7 +38,7 @@ def test_classify_sample_rows_appear_in_report_order(tmp_path, capsys):
     out = tmp_path / "report.csv"
     argv[argv.index("--out") + 1] = str(out)
     assert main(argv[1:]) == 0
-    assert "oracle runs: 297 for 6561 machines" in capsys.readouterr().out
+    assert "oracle runs: 149 for 6561 machines" in capsys.readouterr().out
     lines = out.read_text(encoding="utf-8").splitlines()
     wanted = sample[1].splitlines()
     assert lines[0] == wanted[0]
