@@ -24,11 +24,13 @@ Two evaluators live here.  ``oracle_evaluate`` is the naive reference:
 written first, structured as directly as possible, and used to audit
 the main evaluator differentially.  ``evaluate`` is the one the rest of
 the package calls: it compiles the term to one closure per node and runs
-that.  A ``CompiledTerm`` keeps the validated, compiled term for a caller
-that evaluates one term many times, such as the trio's value search;
-``evaluate_costed`` accepts it in place of a term.  The two evaluators
-share the semantics, the fuel convention and the argument check
-``_check_args``, and deliberately no evaluation code.
+that.  A primitive recursion whose step is a bare projection, as every
+``pred`` is, charges its y step units at once instead of looping, with
+the value and fuel of the loop.  A ``CompiledTerm`` keeps the validated,
+compiled term for a caller that evaluates one term many times, such as
+the trio's value search; ``evaluate_costed`` accepts it in place of a
+term.  The two evaluators share the semantics, the fuel convention and
+the argument check ``_check_args``, and deliberately no evaluation code.
 """
 
 from __future__ import annotations
@@ -262,7 +264,12 @@ def _compile(
     """Compile a validated term into ``run(args, fuel) -> (value, consumed)``.
 
     A run that exhausts its fuel returns (None, fuel).  A subterm shared
-    by reference gets one closure, however many parents call it.
+    by reference gets one closure, however many parents call it.  A
+    primitive recursion whose step is a projection does not loop: it
+    charges the y step units in one subtraction, or takes what is left
+    and exhausts, and returns the projected argument, level or
+    accumulator.  The value and the fuel are those of the loop, and as
+    a projection holds no Mu, no ``on_mu`` event is skipped.
     """
     remaining = 0
     built: dict[int, Callable[[tuple[int, ...]], int]] = {}
@@ -340,6 +347,29 @@ def _compile(
                 return outer(tuple([g(xs) for g in inners]))
 
             return compose
+        if t is PrimRec and type(e.step) is Proj:
+            base = build(e.base)
+            i = e.step.i - 1
+
+            def primrec_proj(xs: tuple[int, ...]) -> int:
+                nonlocal remaining
+                if remaining == 0:
+                    raise _OutOfFuel
+                remaining -= 1
+                front = xs[:-1]
+                acc = base(front)
+                y = xs[-1]
+                if y == 0:
+                    return acc
+                if remaining < y:
+                    remaining = 0
+                    raise _OutOfFuel
+                remaining -= y
+                if i < len(front):
+                    return front[i]
+                return y - 1 if i == len(front) else acc
+
+            return primrec_proj
         if t is PrimRec:
             base = build(e.base)
             step = build(e.step)

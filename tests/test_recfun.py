@@ -209,6 +209,91 @@ def test_costed_evaluation_is_consistent():
     assert evaluate_costed(MUL, (3, 4), cost - 1) == (None, cost - 1)
 
 
+# Bases of arity 1 and 2 for a projection-step recursion: one that
+# converges, one with a Mu that returns (its witness is the first
+# argument), and one with a Mu that never does.
+_FINDS_X1 = {
+    1: Compose(MONUS, (Proj(1, 2), Proj(2, 2))),
+    2: Compose(MONUS, (Proj(1, 3), Proj(3, 3))),
+}
+PROJECTION_STEP_BASES = {
+    1: (Compose(SUCC, (Proj(1, 1),)), Mu(_FINDS_X1[1]), Mu(Compose(SUCC, (Proj(2, 2),)))),
+    2: (Compose(ADD, (Proj(1, 2), Proj(2, 2))), Mu(_FINDS_X1[2]), Mu(Compose(SUCC, (Proj(3, 3),)))),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_projection_step_recursion_matches_the_reference_at_every_fuel(n):
+    """A projection step charged at once gives the loop's value and fuel.
+
+    Every projection (fixed argument, level, accumulator), counts 0, 1
+    and 7, and fuel from 0 to one past the cost: ``evaluate``,
+    ``evaluate_costed`` and one reused ``CompiledTerm`` agree with the
+    reference in value or exhaustion, and in fuel consumed.
+    """
+    front = (3, 5)[:n]
+    for base in PROJECTION_STEP_BASES[n]:
+        for i in range(1, n + 3):
+            expr = PrimRec(base, Proj(i, n + 2))
+            compiled = CompiledTerm(expr)
+            for y in (0, 1, 7):
+                args = front + (y,)
+                # A base that never returns is tried up to fuel 200, past
+                # every cost of the converging ones.
+                cost = None
+                fuel = 0
+                while fuel <= (200 if cost is None else cost + 1):
+                    expected = oracle_evaluate(expr, args, fuel)
+                    where = (base, i, y, fuel)
+                    if isinstance(expected, FuelExhausted):
+                        assert cost is None, where
+                        want = (None, fuel)
+                    else:
+                        if cost is None:
+                            cost = fuel
+                        want = (expected, cost)
+                    assert evaluate(expr, args, fuel) == expected, where
+                    assert evaluate_costed(expr, args, fuel) == want, where
+                    assert evaluate_costed(compiled, args, fuel) == want, where
+                    fuel += 1
+                assert (cost is None) == (base is PROJECTION_STEP_BASES[n][2]), (base, i, y)
+
+
+def test_projection_step_recursion_still_reports_a_mu_in_its_base():
+    for n in (1, 2):
+        front = (3, 5)[:n]
+        for i in range(1, n + 3):
+            events = []
+            got = evaluate(
+                PrimRec(Mu(_FINDS_X1[n]), Proj(i, n + 2)),
+                front + (7,),
+                GENEROUS,
+                on_mu=lambda body, xs, k: events.append((body, xs, k)),
+            )
+            # the fixed arguments, the last level 6 and the accumulator 3
+            assert got == (*front, 6, 3)[i - 1]
+            assert events == [(_FINDS_X1[n], front, 3)]
+
+
+def test_a_projection_step_recursion_costs_no_loop():
+    """pred at 10^7 and monus at (10^7, 3) run at their closed-form costs.
+
+    pred is compose, two projections, the recursion node and its zero
+    base, five units, plus one unit per step.  Each of monus's y levels
+    is its compose and projection, then pred of the running value;
+    monus itself adds its node and its projection base.
+    """
+    x = 10**7
+    cost = x + 5
+    assert evaluate_costed(PRED, (x,), 10**9) == (x - 1, cost)
+    assert evaluate(PRED, (x,), cost) == x - 1
+    assert evaluate(PRED, (x,), cost - 1) == FuelExhausted(consumed=cost - 1)
+    cost = 2 + sum(2 + 5 + (x - level) for level in range(3))
+    assert evaluate_costed(MONUS, (x, 3), 10**9) == (x - 3, cost)
+    assert evaluate(MONUS, (x, 3), cost) == x - 3
+    assert evaluate(MONUS, (x, 3), cost - 1) == FuelExhausted(consumed=cost - 1)
+
+
 def test_char_value_enforces_the_boolean_convention():
     assert char_value(EQ_CHAR, (4, 4), GENEROUS) == 0
     assert char_value(EQ_CHAR, (4, 5), GENEROUS) == 1
