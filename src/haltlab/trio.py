@@ -20,6 +20,14 @@ over T2 over T3.  This is cooperative time-slicing in one thread; no
 operating-system parallelism is involved, and two runs of the same task
 are step-for-step identical.
 
+A searcher that can no longer win is not stepped again, but its grants
+and counters are tallied as if it were.  T2 has lost once its machine
+halts, reaches its history cap or is proven to run a translated cycle,
+which neither halts nor repeats; T3 has lost once its enumeration runs
+dry.  Once both have lost, the rounds in which T1 provably neither
+evaluates nor commits are granted at once, so a run's cost grows with
+what the searchers do rather than with the rounds it lasts.
+
 A candidate's evaluation cost does not depend on the fuel offered, so
 T1 may evaluate ahead of its grant: it keeps a finished result, and the
 largest fuel known to be too little, across rounds instead of starting
@@ -164,6 +172,11 @@ class TrioRun:
     actually used; ``t1_evaluated`` is the fuel T1's evaluations
     consumed, lookahead and unfinished attempts included.  ``COUNTERS``
     names all seven.
+
+    A lost searcher is no longer stepped; its counters read as if it
+    were, and rounds in which no searcher can act are granted in one
+    step.  Every counter, ``rounds_run`` and the verdict are those of a
+    run that polls all three searchers in every round.
     """
 
     COUNTERS = ("t1_granted", "t1_spent", "t1_evaluated", "t2_granted", "t2_steps",
@@ -184,16 +197,26 @@ class TrioRun:
         self._t1_pending: tuple[int, int] | None = None
         self.t2_granted = 0
         self._t2 = OracleRun(task.t2_machine, task.t2_input, max_history=task.t2_history_cap)
+        # t2_granted when T2 could no longer win, else None.
+        self._t2_lost_at: int | None = None
         self.t3_granted = 0
         self.t3_checked = 0
         self._t3_candidates: Iterator[Certificate] = enumerate_certificates(
             self.statement, task.max_cert_size
         )
+        self._t3_dry = False
         self._verdict: TrioVerdict | None = None
 
     @property
     def t2_steps(self) -> int:
-        return self._t2.steps
+        t2 = self._t2
+        if t2.outcome is not None or self._t2_lost_at is None:
+            return t2.steps
+        # A proven cycle neither halts nor repeats, so advancing it would
+        # have run every unit granted since, clipped at the cap.
+        steps = t2.steps + self.t2_granted - self._t2_lost_at
+        cap = t2.max_history
+        return steps if cap is None else min(steps, cap)
 
     def _advance_t1(self) -> Found | None:
         quantum = self.task.quantum
@@ -234,17 +257,25 @@ class TrioRun:
 
     def _advance_t2(self) -> SelfTerminated | None:
         self.t2_granted += self.task.quantum
+        if self._t2_lost_at is not None:
+            return None
         outcome = self._t2.advance(self.task.quantum)
         if isinstance(outcome, LoopDetected):
             return SelfTerminated(outcome)
-        # Halted or capped leaves T2 with nothing further to say.
+        # Halted, capped or a proven translated cycle leaves T2 with
+        # nothing further to say.
+        if outcome is not None or self._t2.translation is not None:
+            self._t2_lost_at = self.t2_granted
         return None
 
     def _advance_t3(self) -> Proved | None:
         self.t3_granted += self.task.quantum
+        if self._t3_dry:
+            return None
         for _ in range(self.task.quantum):
             candidate = next(self._t3_candidates, None)
             if candidate is None:
+                self._t3_dry = True
                 return None
             self.t3_checked += 1
             if check_certificate(candidate, self.statement):
@@ -255,7 +286,12 @@ class TrioRun:
         if self._verdict is not None:
             return self._verdict
         verdict: TrioVerdict | None = None
-        for _ in range(self.task.budget):
+        budget = self.task.budget
+        while self.rounds_run < budget:
+            if self._t3_dry and self._t2_lost_at is not None:
+                self._grant_idle_rounds()
+                if self.rounds_run == budget:
+                    break
             self.rounds_run += 1
             verdict = self._advance_t1() or self._advance_t2() or self._advance_t3()
             if verdict is not None:
@@ -264,6 +300,25 @@ class TrioRun:
             verdict = Exhausted(self.task.budget)
         self._verdict = verdict
         return verdict
+
+    def _grant_idle_rounds(self) -> None:
+        """Grant at once the coming rounds in which T1 does nothing.
+
+        Only T1 can still act.  It stays idle in a round while what it
+        holds after that round's grant is at most the fuel known to be
+        too little, or below the cost of the result waiting to commit.
+        """
+        quantum = self.task.quantum
+        pending = self._t1_pending
+        bar = self._t1_short if pending is None else pending[1] - 1
+        available = self.t1_granted - self.t1_spent
+        skip = min(self.task.budget - self.rounds_run, (bar - available) // quantum)
+        if skip > 0:
+            units = quantum * skip
+            self.rounds_run += skip
+            self.t1_granted += units
+            self.t2_granted += units
+            self.t3_granted += units
 
 
 def run_trio(task: TrioTask) -> TrioVerdict:

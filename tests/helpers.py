@@ -30,7 +30,7 @@ from haltlab.recfun import (
     evaluate,
     evaluate_costed,
 )
-from haltlab.trio import Found, TrioRun
+from haltlab.trio import Exhausted, Found, SelfTerminated, TrioRun, TrioVerdict
 
 
 def gen_leaf(rng: random.Random, n_args: int) -> RecExpr:
@@ -162,14 +162,50 @@ def char_value(expr: RecExpr, args: Iterable[int], fuel: int) -> int | FuelExhau
     return result
 
 
-class RestartingTrioRun(TrioRun):
+class RoundByRoundTrioRun(TrioRun):
+    """The trio polling all three searchers in every round.
+
+    T2's oracle run is advanced every round, also once it has halted,
+    reached its cap or proven a translated cycle, and ``t2_steps`` is
+    the run's own count; no round is granted ahead.  ``TrioRun`` must
+    match this in the verdict, ``rounds_run`` and every counter.
+    """
+
+    @property
+    def t2_steps(self) -> int:
+        return self._t2.steps
+
+    def _advance_t2(self) -> SelfTerminated | None:
+        self.t2_granted += self.task.quantum
+        outcome = self._t2.advance(self.task.quantum)
+        if isinstance(outcome, LoopDetected):
+            return SelfTerminated(outcome)
+        return None
+
+    def run(self) -> TrioVerdict:
+        if self._verdict is not None:
+            return self._verdict
+        verdict: TrioVerdict | None = None
+        for _ in range(self.task.budget):
+            self.rounds_run += 1
+            verdict = self._advance_t1() or self._advance_t2() or self._advance_t3()
+            if verdict is not None:
+                break
+        if verdict is None:
+            verdict = Exhausted(self.task.budget)
+        self._verdict = verdict
+        return verdict
+
+
+class RestartingTrioRun(RoundByRoundTrioRun):
     """The trio with T1 as first specified: evaluate only within the grant.
 
     Each round T1 evaluates the current candidate with exactly the fuel
     granted and not yet spent, and a candidate that does not finish is
     evaluated again from scratch next round with the larger allowance.
-    ``TrioRun`` must match this step for step in every counter but
-    ``t1_evaluated``, which this copy leaves at 0.
+    It polls every searcher in every round, as ``RoundByRoundTrioRun``
+    does.  ``TrioRun`` must match this step for step in every counter
+    but ``t1_evaluated``, which this copy leaves at 0.
     """
 
     def _advance_t1(self) -> Found | None:

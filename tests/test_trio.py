@@ -8,11 +8,14 @@ which round resolves and why.
 
 import random
 import typing
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from haltlab import recfun
-from haltlab.oracle import LoopDetected
+from haltlab.machine import LEFT, RIGHT, Machine
+from haltlab.oracle import LoopDetected, OracleRun
 from haltlab.proofs import Certificate
 from haltlab.recfun import (
     ADD,
@@ -43,7 +46,7 @@ from haltlab.trio import (
     run_trio,
 )
 from haltlab.experiments import bouncer, load_fixture, right_runner
-from tests.helpers import RestartingTrioRun, gen_expr, shuttle_machine
+from tests.helpers import RestartingTrioRun, RoundByRoundTrioRun, gen_expr, shuttle_machine
 
 THREE_MINUS_Y = Compose(MONUS, (const_expr(3, 1), Proj(1, 1)))
 SUCC_OF_Y = Compose(SUCC, (Proj(1, 1),))
@@ -449,3 +452,120 @@ def test_t1_validates_its_term_once_per_run(monkeypatch):
     # Twenty times the candidates, the same number of term checks.
     assert seen[2000][1] > 10 * seen[100][1]
     assert seen[2000][0] == seen[100][0]
+
+
+# --- differential tests against the round-by-round run ------------------
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+# The two-state busy beaver with its halting slot left empty: it halts
+# after five steps.
+BUSY_BEAVER = Machine(2, 2, {(0, 0): (1, RIGHT, 1), (0, 1): (1, LEFT, 1), (1, 0): (1, LEFT, 0)})
+
+
+def run_against_round_by_round(task):
+    """Run the task both ways; the verdict, rounds and all seven counters
+    must agree.  Returns the skipping runner."""
+    runner = TrioRun(task)
+    reference = RoundByRoundTrioRun(task)
+    verdict = runner.run()
+    assert verdict == reference.run(), task
+    assert runner.rounds_run == reference.rounds_run, task
+    for name in TrioRun.COUNTERS:
+        assert getattr(runner, name) == getattr(reference, name), (name, task)
+    return runner
+
+
+def count_advances(monkeypatch):
+    """Record the slice of every ``OracleRun.advance`` call from now on."""
+    real = OracleRun.advance
+    slices = []
+
+    def advance(self, n):
+        slices.append(n)
+        return real(self, n)
+
+    monkeypatch.setattr(OracleRun, "advance", advance)
+    return slices
+
+
+def test_skipping_matches_the_round_by_round_run_on_random_tasks():
+    rng = random.Random(0x51D1)
+    for _ in range(120):
+        roll = rng.random()
+        if roll < 0.15:
+            g = DIVERGES
+        elif roll < 0.3:
+            g = rng.choice((THREE_MINUS_Y, OPAQUE_ONE, SUCC_OF_Y))
+        else:
+            g = gen_expr(rng, 1, rng.randint(0, 4))
+        machine = rng.choice(
+            (right_runner(), bouncer(), BUSY_BEAVER, shuttle_machine(rng.randint(1, 40)))
+        )
+        quantum = rng.randint(1, 20)
+        budget = rng.randint(0, 3000)
+        cap = rng.choice((None, 0, rng.randint(1, 60), quantum * budget + 1))
+        task = TrioTask(
+            g_body=g,
+            fixed_args=(),
+            t2_machine=machine,
+            quantum=quantum,
+            budget=budget,
+            max_cert_size=rng.choice((0, 0, 1, 3)),
+            t2_history_cap=cap,
+        )
+        run_against_round_by_round(task)
+
+
+def test_a_diverging_search_over_a_million_rounds_runs_in_few_steps(monkeypatch):
+    """T1 fails at fuel 1, 2, 4, ..., 2**19 and then at all it can ever
+    hold; T2 proves the runner's cycle and T3 runs dry in round one, so
+    every other round is granted without stepping anyone."""
+    task = replace(
+        load_fixture("fixtures/trio/exhausted_budget.task").task,
+        g_body=DIVERGES,
+        quantum=1,
+        budget=10**6,
+    )
+    slices = count_advances(monkeypatch)
+    runner = TrioRun(task)
+    assert runner.run() == Exhausted(rounds=10**6)
+    assert runner.rounds_run == 10**6
+    counters = tuple(getattr(runner, name) for name in TrioRun.COUNTERS)
+    assert counters == (10**6, 0, 2**20 - 1 + 10**6, 10**6, 10**6, 10**6, 18)
+    assert len(slices) <= 5
+
+
+def test_a_proven_cycle_is_tallied_up_to_its_history_cap(monkeypatch):
+    # The capped task of the benchmark corpus: the runner's cycle is
+    # proven in round one and would reach its cap of 4000 in round 80.
+    task = TrioTask(
+        g_body=OPAQUE_ONE,
+        fixed_args=(),
+        t2_machine=right_runner(),
+        quantum=50,
+        budget=500,
+        max_cert_size=3,
+        t2_history_cap=4000,
+    )
+    slices = count_advances(monkeypatch)
+    runner = TrioRun(task)
+    assert runner.run() == Exhausted(rounds=500)
+    assert runner.t2_steps == 4000
+    counters = tuple(getattr(runner, name) for name in TrioRun.COUNTERS)
+    assert counters == (25000, 23966, 57940, 25000, 4000, 25000, 18)
+    assert len(slices) <= 5
+
+
+@pytest.mark.parametrize("seed", [1, 2077])
+def test_skipping_matches_the_round_by_round_run_on_the_benchmark_corpus(
+    seed, tmp_path, monkeypatch
+):
+    # Only reads the corpus generator; the corpus is written to tmp_path.
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import corpus
+
+    corpus.build(tmp_path / "corpus", seed)
+    tasks = sorted((tmp_path / "corpus").glob("*.task"))
+    assert len(tasks) > 20
+    for path in tasks:
+        run_against_round_by_round(load_fixture(path).task)
