@@ -31,7 +31,7 @@ from .experiments import (
     suite_text,
     suite_to_csv,
     summary_text,
-    validate_sweep,
+    sweep_leaves,
     write_report_csv,
 )
 from .recfun import FuelExhausted, evaluate
@@ -101,8 +101,9 @@ def _cmd_classify(ns: argparse.Namespace) -> int:
     mclass = MachineClass(ns.states, ns.symbols)
     input_symbols = _parse_naturals(ns.input, "--input")
     cap = None if ns.history_cap == 0 else ns.history_cap
-    validate_sweep(mclass, input_symbols, budget=ns.budget, history_cap=cap)
-    # Open --out before the sweep, so an unwritable path fails at once.
+    # sweep_leaves refuses bad arguments at its call; its walk is dropped.
+    # Then open --out before the sweep, so an unwritable path fails at once.
+    sweep_leaves(mclass, ns.budget, cap, input_symbols)
     out = open(ns.out, "w", encoding="utf-8", newline="") if ns.out else nullcontext(sys.stdout)
     with out as handle:
         report = classify_all(mclass, ns.budget, cap, input_symbols)

@@ -193,27 +193,6 @@ def _moved(outcome: RunOutcome, states: Sequence[int] | dict[int, int], mirrored
     return Halted(outcome.steps, InstantaneousDescription(states[final.state], head, tape))
 
 
-def validate_sweep(
-    mclass: MachineClass,
-    input_symbols: tuple[int, ...] = (),
-    *,
-    budget: int = DEFAULT_BUDGET,
-    history_cap: int | None = DEFAULT_HISTORY_CAP,
-) -> None:
-    """Refuse a sweep before any work, with the arguments and defaults of
-    ``classify_all``.
-
-    Raises ValueError for a class beyond ``CLASS_SIZE_GUARD``, an input
-    symbol outside the class's alphabet, a negative budget or a negative
-    history cap.  It is the check ``sweep_leaves`` makes at its call:
-    past the guard, each rule is asked of its owner by the walk's first
-    oracle run, that of the class's empty table, which checks the
-    budget, the cap and the input as every run of the sweep would.  The
-    walk it returns is dropped unread.
-    """
-    sweep_leaves(mclass, budget, history_cap, input_symbols)
-
-
 def enumerate_class(mclass: MachineClass) -> Iterator[Machine]:
     """Every machine in the class, in canonical order, start state 0.
 
@@ -238,27 +217,33 @@ def _rule_code(rule: Transition | None) -> str:
 
 
 def machine_code(machine: Machine) -> str:
-    """Canonical one-token encoding of a transition table.
+    """Canonical one-token encoding of a machine.
 
     Small tables use the compact convention (per state, per symbol:
     write digit, move letter, next state letter, or --- when absent);
     anything too large for single characters falls back to an explicit
-    semicolon-joined listing.  Either way the encoding is injective, so
-    it serves as the machine's identifier in reports.
+    semicolon-joined listing.  A start state other than 0 follows an
+    ``@``, as a letter in the compact form and a number in the listing,
+    so class members, which start in state 0, carry none.  Either way
+    the encoding is injective, so it serves as the machine's identifier
+    in reports.
     """
+    start = machine.start_state
     if machine.alphabet_size <= 10 and machine.state_count <= 26:
-        return "_".join(
+        table = "_".join(
             "".join(
                 _rule_code(machine.transitions.get((state, symbol)))
                 for symbol in range(machine.alphabet_size)
             )
             for state in range(machine.state_count)
         )
+        return f"{table}@{chr(65 + start)}" if start else table
     parts = [
         f"{state}.{symbol}:{write}{move}{nxt}"
         for (state, symbol), (write, move, nxt) in sorted(machine.transitions.items())
     ]
-    return f"s{machine.state_count}a{machine.alphabet_size};" + ";".join(parts)
+    header = f"s{machine.state_count}a{machine.alphabet_size}" + (f"@{start}" if start else "")
+    return f"{header};" + ";".join(parts)
 
 
 class MachineIds(Sequence[str]):
@@ -392,7 +377,7 @@ def sweep_leaves(
 
     The class guard and the root's run, that of the empty table, happen
     at the call, before the walk is returned, so bad arguments raise
-    ValueError before any reader allocates anything (``validate_sweep``).
+    ValueError before any reader allocates anything.
     """
     options = _options(mclass)
     input_symbols = tuple(input_symbols)

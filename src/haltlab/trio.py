@@ -8,8 +8,9 @@ three searchers race, interleaved deterministically:
   a diverging candidate stalls it — which is the correct reading of
   minimization's side condition.  It validates and compiles G once per
   run, into a ``CompiledTerm``, and evaluates every candidate with it.
-* T2 runs a designated machine under the loop oracle, watching for the
-  machine to return to an earlier configuration.
+* T2 runs a designated machine from the blank tape under the loop
+  oracle, watching for the machine to return to an earlier
+  configuration.
 * T3 walks the canonical certificate enumeration, checking each
   candidate against the statement "G(fixed, ·) is nowhere zero".
 
@@ -73,10 +74,10 @@ class TrioTask:
     """One extension question plus the resources granted to answer it.
 
     ``g_body`` must have arity len(fixed_args) + 1, ``fixed_args`` must
-    be naturals, ``t2_input`` must use ``t2_machine``'s alphabet, and
-    ``t2_history_cap`` must be None or a natural.  ``t2_machine`` is
-    part of the task, not derived from the expression: which machine to
-    watch is the caller's (or the fixture author's) choice.  ``budget``
+    be naturals, and ``t2_history_cap`` must be None or a natural.
+    ``t2_machine`` is part of the task, not derived from the expression:
+    which machine to watch is the caller's (or the fixture author's)
+    choice.  T2 watches it from the blank tape.  ``budget``
     counts whole rounds; ``quantum`` is the per-searcher grant within a
     round.
     """
@@ -87,12 +88,10 @@ class TrioTask:
     quantum: int = 50
     budget: int = 100
     max_cert_size: int = 4
-    t2_input: tuple[int, ...] = ()
     t2_history_cap: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "fixed_args", tuple(self.fixed_args))
-        object.__setattr__(self, "t2_input", tuple(self.t2_input))
         n = arity(self.g_body)
         if n != len(self.fixed_args) + 1:
             raise ValueError(
@@ -100,9 +99,6 @@ class TrioTask:
             )
         if any(a < 0 for a in self.fixed_args):
             raise ValueError(f"fixed_args must be naturals, got {self.fixed_args}")
-        for cell, sym in enumerate(self.t2_input):
-            if not 0 <= sym < self.t2_machine.alphabet_size:
-                raise ValueError(f"t2_input symbol {sym} at cell {cell} is out of range")
         if self.t2_history_cap is not None and self.t2_history_cap < 0:
             raise ValueError("t2_history_cap must be nonnegative")
         if self.quantum < 1:
@@ -196,7 +192,7 @@ class TrioRun:
         self._t1_short = 0
         self._t1_pending: tuple[int, int] | None = None
         self.t2_granted = 0
-        self._t2 = OracleRun(task.t2_machine, task.t2_input, max_history=task.t2_history_cap)
+        self._t2 = OracleRun(task.t2_machine, (), max_history=task.t2_history_cap)
         # t2_granted when T2 could no longer win, else None.
         self._t2_lost_at: int | None = None
         self.t3_granted = 0
@@ -394,7 +390,7 @@ def classify_corpus_entry(task: TrioTask, label: str = "task") -> TrioRecord:
     if isinstance(verdict, Found):
         audit = _audit_found(task, verdict, max(runner.t1_granted, 1))
     elif isinstance(verdict, SelfTerminated):
-        audit = replay_verify(task.t2_machine, task.t2_input, verdict.loop)
+        audit = replay_verify(task.t2_machine, (), verdict.loop)
     elif isinstance(verdict, Proved):
         audit = check_certificate(verdict.certificate, runner.statement)
     else:

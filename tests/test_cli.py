@@ -1,6 +1,10 @@
 """Command-line interface tests: subcommands, exit codes, output routing."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -278,6 +282,19 @@ def test_demo_falsify_prints_the_pinned_text(argv, digest, capsys):
     assert main(["demo", "falsify", *argv]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_the_module_entry_point_prints_what_main_prints(capsys):
+    """``python -m haltlab`` goes through ``__main__`` and ``cli.entry``."""
+    argv = ["demo", "falsify", "--budgets", "100,1000"]
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run(
+        [sys.executable, "-m", "haltlab", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert main(argv) == 0
+    assert done.stdout == capsys.readouterr().out
 
 
 def test_demo_falsify_validates_budgets(capsys):

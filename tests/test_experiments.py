@@ -40,7 +40,6 @@ from haltlab.experiments import (
     suite_to_csv,
     summary_text,
     sweep_leaves,
-    validate_sweep,
     write_report_csv,
 )
 from haltlab.recfun import MONUS, Compose, Proj, const_expr
@@ -90,6 +89,14 @@ def test_machine_codes_are_frozen():
     assert machine_code(right_runner()) == "1RA---"
     assert machine_code(bouncer()) == "0RB---_0LA---"
     assert machine_code(Machine(1, 2, {})) == "------"
+
+
+def test_machine_codes_spell_a_nonzero_start_state():
+    table = {(0, 0): (1, RIGHT, 1)}
+    assert machine_code(Machine(2, 2, table, start_state=0)) == "1RB---_------"
+    assert machine_code(Machine(2, 2, table, start_state=1)) == "1RB---_------@B"
+    assert machine_code(Machine(2, 11, table, start_state=0)) == "s2a11;0.0:1R1"
+    assert machine_code(Machine(2, 11, table, start_state=1)) == "s2a11@1;0.0:1R1"
 
 
 def test_machine_codes_fall_back_verbosely_for_wide_alphabets():
@@ -711,6 +718,3 @@ def test_a_sweep_refuses_bad_arguments_before_any_work(bad, reason):
     # The walk refuses at its call, before its first leaf is asked for.
     with pytest.raises(ValueError, match=reason):
         sweep_leaves(mclass, **bad)
-    input_symbols = bad.pop("input_symbols", ())
-    with pytest.raises(ValueError, match=reason):
-        validate_sweep(mclass, input_symbols, **bad)

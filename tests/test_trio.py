@@ -94,10 +94,9 @@ def test_task_validation():
         budget=1,
         max_cert_size=3,
     )
-    TrioTask(**valid, t2_input=(1, 0), t2_history_cap=0)
+    TrioTask(**valid, t2_history_cap=0)
     for bad, what in (
         ({"fixed_args": (-3,)}, "fixed_args"),
-        ({"t2_input": (5,)}, "t2_input"),
         ({"t2_history_cap": -1}, "t2_history_cap"),
     ):
         with pytest.raises(ValueError, match=what):
