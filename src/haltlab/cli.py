@@ -101,7 +101,8 @@ def _cmd_classify(ns: argparse.Namespace) -> int:
     mclass = MachineClass(ns.states, ns.symbols)
     input_symbols = _parse_naturals(ns.input, "--input")
     cap = None if ns.history_cap == 0 else ns.history_cap
-    # sweep_leaves refuses bad arguments at its call; its walk is dropped.
+    # sweep_leaves refuses bad arguments at its call and runs nothing
+    # until its walk is read; the walk is dropped unread.
     # Then open --out before the sweep, so an unwritable path fails at once.
     sweep_leaves(mclass, ns.budget, cap, input_symbols)
     out = open(ns.out, "w", encoding="utf-8", newline="") if ns.out else nullcontext(sys.stdout)

@@ -14,17 +14,18 @@ with their outcomes, so the oracle runs once per orbit of that group
 and the other members take the outcome mapped; at budget 10^3, 2x2
 has 297 leaves and 149 runs, 3x2 85,021 leaves and 21,257 runs.  That
 walk is the one place the tree is walked; its readers take what they
-need from the leaves.  ``classify_all`` is one: it writes each leaf's
-outcome at the canonical index of every machine below it, audits each
+need from the leaves, and a budget leaf's run builds no snapshot.
+``classify_all`` is one: it writes each leaf's outcome, by slices, at
+the canonical index of every machine below it, audits each
 halting or looping leaf by one oracle-free replay against the leaf's
 own partial table, and passes a row only when its table, read from its
 index, agrees with the leaf on every slot the leaf decides.
 A report is two columns addressed by canonical index, outcomes and
 audit flags; a machine's id is derived from its index, so no id is
 stored and no row object is ever built.  Classification reports are
-plain CSV with a fixed schema and no timestamps, written row by row, so
-two runs of the same experiment produce byte-identical files; wall-clock
-time lives only in the human-readable summary beside the data.
+plain CSV with a fixed schema and no timestamps, written by runs of
+rows, so two runs of the same experiment produce byte-identical files;
+wall-clock time lives only in the human-readable summary beside the data.
 
 The module also holds the right-runner demonstration, where the oracle
 provably cannot answer — the machine writes a fresh cell every step,
@@ -48,8 +49,9 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import islice, product
+from itertools import chain, compress, count, islice, product
 from math import perm
+from operator import is_not, or_
 from pathlib import Path
 from typing import TextIO
 
@@ -64,7 +66,7 @@ from .oracle import (
     RunOutcome,
     replay_verify,
     run,  # not called here; the benchmark tracer wraps experiments.run
-    run_with_oracle,
+    run_with_oracle,  # not called here; the benchmark tracer wraps it by name
 )
 from .trio import TrioRecord, TrioTask, UNDETERMINED, VERDICT_TAGS, classify_corpus_entry, reading
 
@@ -251,31 +253,37 @@ class MachineIds(Sequence[str]):
 
     Canonical order is state-major, so a machine's code is its states'
     segments joined by ``_``, where a state's segment concatenates the
-    codes of its slots.  The radix**alphabet segments are built once;
+    codes of its slots.  The radix**alphabet ``segments`` are built once;
     the id at index k reads k's digits in base len(segments), and
-    iteration is the product of the segments, one per state.  Every
-    class within ``CLASS_SIZE_GUARD`` has at most 10 symbols and 26
-    states, so the compact encoding always applies.
+    iteration is the product of the segments, one per state: a block of
+    len(segments) ids shares one of ``prefixes()``.  Every class within
+    ``CLASS_SIZE_GUARD`` has at most 10 symbols and 26 states, so the
+    compact encoding always applies.
     """
 
     def __init__(self, mclass: MachineClass) -> None:
         codes = [_rule_code(rule) for rule in _options(mclass)]
-        self._segments = ["".join(t) for t in product(codes, repeat=mclass.alphabet_size)]
+        self.segments = ["".join(t) for t in product(codes, repeat=mclass.alphabet_size)]
         self._states = mclass.state_count
 
     def __len__(self) -> int:
-        return len(self._segments) ** self._states
+        return len(self.segments) ** self._states
 
     def __getitem__(self, index: int) -> str:
         index = range(len(self))[index]
         parts = []
         for _ in range(self._states):
-            index, digit = divmod(index, len(self._segments))
-            parts.append(self._segments[digit])
+            index, digit = divmod(index, len(self.segments))
+            parts.append(self.segments[digit])
         return "_".join(reversed(parts))
 
     def __iter__(self) -> Iterator[str]:
-        return map("_".join, product(self._segments, repeat=self._states))
+        return map("_".join, product(self.segments, repeat=self._states))
+
+    def prefixes(self) -> Iterator[str]:
+        """Each block's shared start, in order: every state's segment but
+        the last, each followed by ``_``."""
+        return map("".join, product([s + "_" for s in self.segments], repeat=self._states - 1))
 
 
 @dataclass
@@ -283,10 +291,11 @@ class ClassificationReport:
     """One classification run, as columns addressed by canonical index:
     ``outcomes[k]`` and ``audits[k]`` belong to the machine ``ids[k]``.
 
-    A budget row's outcome keeps the step count and the cap flag only,
-    with ``last_id`` None: the CSV prints no configuration, and keeping
-    one per budget leaf made up almost all of a report (57 MiB of the
-    2x2 report at budget 10^4, about 1.3 GB of the 3x2 run at 10^3).
+    A leaf's rows share its one outcome object.  A budget row's outcome
+    keeps the step count and the cap flag only, with ``last_id`` None:
+    the CSV prints no configuration, and keeping one per budget leaf
+    made up almost all of a report (57 MiB of the 2x2 report at budget
+    10^4, about 1.3 GB of the 3x2 run at 10^3).
     """
 
     mclass: MachineClass
@@ -372,32 +381,41 @@ def sweep_leaves(
     indices spell, slot 0 first.  Leaves come in canonical order: by the
     index of their first machine, the one with every undecided slot
     absent.  A budget leaf yields ``BudgetExceeded(steps, None,
-    history_capped)`` in place of the run's outcome: no reader keeps the
-    last configuration, and holding the snapshots costs memory.
+    history_capped)``: no reader keeps the last configuration, so the
+    walk asks ``OracleRun`` itself and snapshots only a halt.
 
-    The class guard and the root's run, that of the empty table, happen
-    at the call, before the walk is returned, so bad arguments raise
-    ValueError before any reader allocates anything.
+    The class guard, the budget check and building the root's
+    ``OracleRun``, which checks the cap and the input, happen at the
+    call, so bad arguments raise ValueError before any reader allocates
+    anything.  The root runs when the walk is first read.
     """
     options = _options(mclass)
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     input_symbols = tuple(input_symbols)
     states, symbols = mclass.state_count, mclass.alphabet_size
     radix, slots = len(options), states * symbols
     mirrors = not any(input_symbols[1:])
 
-    def outcome_of(decided: dict[int, int]) -> RunOutcome:
-        machine = _machine(mclass, options, decided.items())
-        outcome = run_with_oracle(machine, input_symbols, budget, history_cap)
+    def oracle_of(decided: dict[int, int]) -> OracleRun:
+        return OracleRun(_machine(mclass, options, decided.items()), input_symbols, history_cap)
+
+    def outcome_of(oracle: OracleRun) -> RunOutcome:
+        # run_with_oracle's reading of the run, without its budget snapshot.
+        outcome = oracle.advance(budget)
+        if outcome is None:
+            if oracle.at_halt():
+                return Halted(oracle.steps, oracle.snapshot())
+            return BudgetExceeded(oracle.steps, None)
         if isinstance(outcome, BudgetExceeded):
             return BudgetExceeded(outcome.steps, None, outcome.history_capped)
         return outcome
 
-    root = outcome_of({})
-
-    def walk(outcome: RunOutcome) -> Iterator[tuple[dict[int, int], RunOutcome, bool]]:
+    def walk(root: OracleRun) -> Iterator[tuple[dict[int, int], RunOutcome, bool]]:
         # Nodes waiting to run, keyed by their first machine's index.
         # Waiting nodes are disjoint, so no two share a key.
         first, decided, waiting, ran = 0, {}, [], True
+        outcome = outcome_of(root)
         # Open orbits: key -> [outcome of the key's table, members to come]
         orbits: dict[tuple[int, ...], list] = {}
         while True:
@@ -415,7 +433,7 @@ def sweep_leaves(
             entry = orbits.get(key)
             ran = entry is None
             if ran:
-                outcome = outcome_of(decided)
+                outcome = outcome_of(oracle_of(decided))
                 if size > 1:
                     label = {q: i for i, q in enumerate(order)}
                     orbits[key] = [_moved(outcome, label, mirrored), size - 1]
@@ -426,7 +444,7 @@ def sweep_leaves(
                 if not entry[1]:
                     del orbits[key]
 
-    return walk(root)
+    return walk(oracle_of({}))
 
 
 def classify_all(
@@ -444,8 +462,6 @@ def classify_all(
     ``report.ids`` derives each machine's id from its index
     (``MachineIds``).  ``oracle_runs`` counts the leaves the walk ran the
     oracle for, one per orbit; the others took a mapped outcome.
-    ``run_with_oracle`` itself still returns a budget outcome's snapshot;
-    the walk drops it.
 
     A Halted or LoopDetected leaf, whether its outcome was run or
     mapped, is audited by one oracle-free replay of its verdict against
@@ -476,13 +492,17 @@ def classify_all(
     runs = 0
     for decided, outcome, ran in leaves:
         runs += ran
-        choices = [(decided[k],) if k in decided else range(radix) for k in range(slots)]
-        # The leaf's indices in ascending order, one digit at a time.
-        indices = [0]
-        for choice in choices:
-            indices = [i * radix + d for i in indices for d in choice]
-        for index in indices:
-            outcomes[index] = outcome
+        # The slots past the leaf's last decided one are free, so its
+        # indices come in ascending blocks of ``width``, one slice each.
+        last = max(decided, default=-1)
+        width = radix ** (slots - 1 - last)
+        starts = [0]
+        for k in range(last + 1):
+            choice = (decided[k],) if k in decided else range(radix)
+            starts = [i * radix + d for i in starts for d in choice]
+        block = [outcome] * width
+        for start in starts:
+            outcomes[start * width : (start + 1) * width] = block
         if isinstance(outcome, (Halted, LoopDetected)):
             leaf = _machine(mclass, options, decided.items())
             ok = replay_verify(leaf, input_symbols, outcome)
@@ -490,8 +510,9 @@ def classify_all(
                 ok = ok and decided.get(_halt_slot(mclass, outcome)) == 0
             # Slot k is the digit of weight radix**(slots-1-k).
             digits = [(radix ** (slots - 1 - k), d) for k, d in decided.items()]
-            for index in indices:
-                audits[index] = ok and all(index // weight % radix == d for weight, d in digits)
+            for start in starts:
+                for index in range(start * width, (start + 1) * width):
+                    audits[index] = ok and all(index // weight % radix == d for weight, d in digits)
     return ClassificationReport(
         mclass=mclass,
         budget=budget,
@@ -512,40 +533,61 @@ def _csv_text(fields: Iterable) -> str:
 
 
 def write_report_csv(report: ClassificationReport, stream: TextIO) -> None:
-    """Write the fixed-schema CSV to ``stream`` as its rows are rendered.
-    Nothing non-deterministic goes in.
+    """Write the fixed-schema CSV to ``stream`` a few thousand lines at a
+    time.  Nothing non-deterministic goes in.
 
     A row's fields after its id depend only on its outcome object and
     audit flag, so each such pair is rendered once and shared.  Ids are
-    compact machine codes, which ``csv`` never quotes.  Raises
-    ValueError, before anything is written, when the columns do not
-    cover the class, one entry per machine.
+    compact machine codes, which ``csv`` never quotes.  Within a block
+    of ids (``MachineIds.prefixes``), each run of rows with one outcome
+    object and flag is one join of its segments.  Raises ValueError,
+    before anything is written, when the columns do not cover the
+    class, one entry per machine.
     """
-    lengths = (len(report.ids), len(report.outcomes), len(report.audits))
+    ids, outcomes, audits = report.ids, report.outcomes, report.audits
+    lengths = (len(ids), len(outcomes), len(audits))
     if len(set(lengths)) > 1:
         mclass = report.mclass
         raise ValueError(
             f"report columns do not cover the {mclass.state_count}x{mclass.alphabet_size} class:"
             f" {lengths[0]} ids, {lengths[1]} outcomes, {lengths[2]} audits"
         )
+    segments, prefixes = ids.segments, ids.prefixes()
+    width = len(segments)
     rendered: dict[tuple[int, bool | None], str] = {}
-
-    def lines() -> Iterator[str]:
-        yield _csv_text(CSV_COLUMNS)
-        columns = zip(report.ids, report.outcomes, report.audits)
-        for machine_id, outcome, audit in columns:
-            tail = rendered.get((id(outcome), audit))
-            if tail is None:
-                flag = "" if audit is None else str(audit).lower()
-                tail = _csv_text((*_outcome_fields(outcome), flag))
-                rendered[(id(outcome), audit)] = tail
-            yield machine_id + "," + tail
-
     # One write per few thousand lines: a write per line costs more than
     # rendering the line.
-    pending = lines()
-    while chunk := "".join(islice(pending, 4096)):
-        stream.write(chunk)
+    chunk, lines, limit = [_csv_text(CSV_COLUMNS)], 0, 4096
+    # A run ends where the next row holds another outcome object or flag
+    # (flags are True, False or None, so identity compares them too).
+    changed = map(
+        or_,
+        map(is_not, outcomes, islice(outcomes, 1, None)),
+        map(is_not, audits, islice(audits, 1, None)),
+    )
+    # The current run is rows start..stop; the current block ends at row end.
+    start = end = 0
+    for stop in chain(compress(count(1), changed), (len(outcomes),)):
+        outcome, audit = outcomes[start], audits[start]
+        key = (id(outcome), audit)
+        tail = rendered.get(key)
+        if tail is None:
+            flag = "" if audit is None else str(audit).lower()
+            tail = rendered[key] = _csv_text((*_outcome_fields(outcome), flag))
+        while start < stop:
+            if start == end:
+                prefix = next(prefixes)
+                end += width
+            upto = min(stop, end, start + limit)
+            rows = segments[start - end + width : upto - end + width]
+            chunk.append(prefix + ("," + tail + prefix).join(rows) + "," + tail)
+            lines += upto - start
+            start = upto
+            if lines >= limit:
+                stream.write("".join(chunk))
+                chunk, lines = [], 0
+    if chunk:
+        stream.write("".join(chunk))
 
 
 def report_to_csv(report: ClassificationReport) -> str:

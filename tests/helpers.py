@@ -9,6 +9,7 @@ shrinking.
 
 from __future__ import annotations
 
+import io
 import random
 from collections.abc import Iterable
 from dataclasses import replace
@@ -223,6 +224,23 @@ class RestartingTrioRun(RoundByRoundTrioRun):
                 return Found(self._t1_candidate, self.t1_spent)
             self._t1_candidate += 1
         return None
+
+
+def rowwise_report_csv(report: experiments.ClassificationReport) -> str:
+    """A report's CSV rendered one line per row, id by id: the reference
+    ``experiments.write_report_csv`` must match byte for byte.  Like it,
+    it renders each (outcome object, audit flag) pair's fields once."""
+    buffer = io.StringIO()
+    buffer.write(experiments._csv_text(experiments.CSV_COLUMNS))
+    rendered: dict[tuple[int, bool | None], str] = {}
+    for machine_id, outcome, audit in zip(report.ids, report.outcomes, report.audits):
+        tail = rendered.get((id(outcome), audit))
+        if tail is None:
+            flag = "" if audit is None else str(audit).lower()
+            tail = experiments._csv_text((*experiments._outcome_fields(outcome), flag))
+            rendered[(id(outcome), audit)] = tail
+        buffer.write(machine_id + "," + tail)
+    return buffer.getvalue()
 
 
 def tamper_one_leaf(monkeypatch, kind: type) -> list[dict[int, int]]:

@@ -55,12 +55,13 @@ def test_the_tracer_wraps_live_attributes_and_restores_them(benchmarks_on_path):
         if isinstance(outcome, (oracle.Halted, oracle.LoopDetected))
     ]
     layers = tracer.per_layer(
-        ["experiments.classify_all.calls", "oracle.run_with_oracle.calls", "oracle.replay_verify.calls"]
+        ["experiments.classify_all.calls", "oracle.advance.calls", "oracle.replay_verify.calls"]
     )
     assert layers == {
         "experiments.classify_all.calls": 1,
-        # One run per orbit of the prefix tree's nodes, the root's included.
-        "oracle.run_with_oracle.calls": report.oracle_runs,
+        # One run per orbit of the prefix tree's nodes, the root's included,
+        # each one call of advance.
+        "oracle.advance.calls": report.oracle_runs,
         # One replay per halted or looped leaf, not one per row.
         "oracle.replay_verify.calls": len(decided_leaves),
     }

@@ -10,7 +10,7 @@ import pytest
 
 from haltlab import cli
 from haltlab.cli import main
-from haltlab.oracle import Halted, LoopDetected
+from haltlab.oracle import Halted, LoopDetected, OracleRun
 from tests.helpers import tamper_one_leaf
 
 FIXTURES = "fixtures/trio"
@@ -48,6 +48,26 @@ def test_classify_exits_1_on_a_failed_audit(monkeypatch, capsys, kind):
     assert "audits: FAILURES PRESENT" in captured.err
     (decided,) = tampered
     assert captured.out.count(",false\n") == 9 ** (4 - len(decided)) > 1
+
+
+def test_classify_runs_the_oracle_once_per_orbit(tmp_path, monkeypatch, capsys):
+    """The argument check before --out is opened runs no step, so the
+    command advances one OracleRun per orbit of the prefix tree."""
+    calls = []
+    advance = OracleRun.advance
+
+    def counted(self, n):
+        calls.append(n)
+        return advance(self, n)
+
+    monkeypatch.setattr(OracleRun, "advance", counted)
+    target = tmp_path / "report.csv"
+    argv = ["classify", "--states", "2", "--symbols", "2", "--budget", "1000", "--out", str(target)]
+    assert main(argv) == 0
+    assert "oracle runs: 149 for 6561 machines" in capsys.readouterr().out
+    assert len(calls) == 149
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert digest == "a4e4be1dc6010618733d6230b5e1a2b1d4de063795f861c1eefa13b2101de35c"
 
 
 def test_classify_refuses_oversized_classes(capsys):

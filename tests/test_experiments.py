@@ -6,6 +6,7 @@ import itertools
 import random
 import shutil
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -44,7 +45,7 @@ from haltlab.experiments import (
 )
 from haltlab.recfun import MONUS, Compose, Proj, const_expr
 from haltlab.trio import UNDETERMINED
-from tests.helpers import tamper_one_leaf
+from tests.helpers import rowwise_report_csv, tamper_one_leaf
 
 FIXTURES = "fixtures/trio"
 
@@ -228,6 +229,7 @@ def test_the_leaf_audit_fails_every_row_of_a_false_leaf(monkeypatch, kind):
             assert audit is None
     assert in_leaf == radix ** (slots - len(decided)) > 1
     assert not report.all_audits_passed
+    assert report_to_csv(report).splitlines(True) == rowwise_report_csv(report).splitlines(True)
 
 
 def test_the_leaf_audit_fails_a_halt_on_an_undecided_slot(monkeypatch):
@@ -434,6 +436,46 @@ def test_csv_refuses_columns_that_do_not_cover_the_class():
         with pytest.raises(ValueError, match=expected):
             write_report_csv(report, stream)
         assert stream.getvalue() == ""
+
+
+@pytest.mark.parametrize(
+    "states, symbols, input_symbols",
+    # 1x2's ids have an empty prefix; (1,) is no input for one symbol.
+    [(1, 2, ()), (1, 2, (1,)), (2, 1, ()), (3, 1, ()), (2, 2, ()), (2, 2, (1,))],
+)
+def test_the_csv_written_by_runs_matches_the_rowwise_writer(states, symbols, input_symbols):
+    for budget, history_cap in itertools.product((0, 1, 50, 1_000), (None, 0, 5)):
+        report = classify_all(MachineClass(states, symbols), budget, history_cap, input_symbols)
+        written = report_to_csv(report).splitlines(True)
+        assert written == rowwise_report_csv(report).splitlines(True), (budget, history_cap)
+
+
+@pytest.mark.parametrize("states, symbols", [(2, 2), (1, 5)])
+def test_the_csv_runs_break_at_each_new_outcome_object_or_flag(states, symbols):
+    """Equal but distinct outcome objects and flipped flags end a run.  Runs
+    also cross last-state blocks (81 rows in 2x2) and, in 1x5's one block
+    of 161,051 rows, the 4096-line chunk: a write holds at most two."""
+    rng = random.Random(23)
+    mclass = MachineClass(states, symbols)
+    shared = [Halted(2, None), LoopDetected(0, 2), BudgetExceeded(9, None)]
+    outcomes, audits = [], []
+    while len(outcomes) < mclass.size:
+        outcome = rng.choice(shared)
+        if rng.random() < 0.5:
+            outcome = replace(outcome)  # equal, not the same object
+        length = rng.choice((1, 2, 3, 80, 81, 82, 5_000))
+        outcomes += [outcome] * length
+        if rng.random() < 0.5:
+            audits += [rng.choice((True, False, None))] * length
+        else:
+            audits += [rng.choice((True, False, None)) for _ in range(length)]
+    report = ClassificationReport(
+        mclass, 9, None, (), outcomes[: mclass.size], audits[: mclass.size], 0.0
+    )
+    writes = []
+    write_report_csv(report, type("Recorder", (), {"write": staticmethod(writes.append)})())
+    assert "".join(writes).splitlines(True) == rowwise_report_csv(report).splitlines(True)
+    assert max(text.count("\n") for text in writes) <= 2 * 4096
 
 
 def test_growth_profile_of_the_runner_is_the_identity():
