@@ -492,26 +492,38 @@ def classify_all(
     runs = 0
     for decided, outcome, ran in leaves:
         runs += ran
-        # The slots past the leaf's last decided one are free, so its
-        # indices come in ascending blocks of ``width``, one slice each.
-        last = max(decided, default=-1)
-        width = radix ** (slots - 1 - last)
+        # Slot k is the digit of weight radix**(slots-1-k).  The slots
+        # past the leaf's last decided one are free, so its indices come
+        # in ascending blocks of consecutive rows, one slice each.  A
+        # leaf that decides the last slot would have single-row blocks;
+        # it takes one strided slice over its last free slot instead.
+        free = [k for k in range(slots) if k not in decided]
+        if slots - 1 in decided and free:
+            cut = free[-1]
+            step = radix ** (slots - 1 - cut)
+            offset = sum(decided[k] * radix ** (slots - 1 - k) for k in range(cut + 1, slots))
+            count = radix
+        else:
+            cut = max(decided, default=-1) + 1
+            step, offset, count = 1, 0, radix ** (slots - cut)
+        # one slice per choice of the slots before cut
         starts = [0]
-        for k in range(last + 1):
+        for k in range(cut):
             choice = (decided[k],) if k in decided else range(radix)
             starts = [i * radix + d for i in starts for d in choice]
-        block = [outcome] * width
-        for start in starts:
-            outcomes[start * width : (start + 1) * width] = block
+        span = radix ** (slots - cut)
+        ranges = [range(i * span + offset, i * span + offset + count * step, step) for i in starts]
+        block = [outcome] * count
+        for r in ranges:
+            outcomes[r.start : r.stop : r.step] = block
         if isinstance(outcome, (Halted, LoopDetected)):
             leaf = _machine(mclass, options, decided.items())
             ok = replay_verify(leaf, input_symbols, outcome)
             if isinstance(outcome, Halted):
                 ok = ok and decided.get(_halt_slot(mclass, outcome)) == 0
-            # Slot k is the digit of weight radix**(slots-1-k).
             digits = [(radix ** (slots - 1 - k), d) for k, d in decided.items()]
-            for start in starts:
-                for index in range(start * width, (start + 1) * width):
+            for r in ranges:
+                for index in r:
                     audits[index] = ok and all(index // weight % radix == d for weight, d in digits)
     return ClassificationReport(
         mclass=mclass,

@@ -53,9 +53,11 @@ tape[r1-D .. r1] at t1 equals tape[r2-D .. r2] at t2, the run from t2
 repeats the run from t1 shifted by s = r2 - r1 with period p = t2 - t1:
 it reads only shifted copies of the cells the first stretch read.  It
 never halts and never repeats a configuration.  Left records mirror
-this.  Only consecutive records in one state are compared, so a cycle
-whose period holds two records in a state with different cells behind
-them goes unproven and is recorded step by step as before.
+this.  The lemma holds for any two records of one state, and each new
+record is compared with the last two in its state, so a cycle whose
+period holds two records in a state with different cells behind them
+is proven by records two apart.  A period that holds three or more
+such records goes unproven and is recorded step by step.
 
 Once a cycle is proven the run stops recording and coasts.  Each whole
 period lays one more copy of the same |s| cells behind the window and
@@ -271,7 +273,8 @@ class OracleRun(PlainRun):
         ends = [self.head, *self.tape]
         self._lo, self._hi = min(ends), max(ends)
         self._low = self._high = self.head
-        # per direction: state -> [step, cell, depth, window], see _record
+        # per direction: state -> its last two records, newest first,
+        # each [step, cell, depth, window], see _record
         self._records: tuple[dict[int, list], dict[int, list]] | None = ({}, {})
         # first record step, period, shift, depth of a proven cycle
         self._cycle: tuple[int, int, int, int] | None = None
@@ -417,25 +420,36 @@ class OracleRun(PlainRun):
         """Note a record toward d (1 right, -1 left); True once it proves a cycle.
 
         ``far`` is as far back as the head went since the previous
-        record toward d.  Each state's entry holds its last record's
-        step and cell, how far the head has fallen back behind that cell
-        since, and the cells behind it at the time, nearest first.  That
-        window is as long as the depth its own record measured, and a
-        cycle is tested only when it covers the new depth.  The step at
-        ``max_history`` proves nothing: its configuration is past the cap.
+        record toward d.  Each state keeps its last two records toward
+        d, newest first.  An entry holds the record's step and cell, how
+        far the head has fallen back behind that cell since, and the
+        cells behind it at the time, nearest first.  That window is as
+        long as the larger depth the state's two entries showed when the
+        record was made.  The new record is tested against the newer
+        entry first, then the older, each at its own depth and only when
+        its window covers that depth.  The step at ``max_history``
+        proves nothing: its configuration is past the cap.
         """
-        for entry in records.values():
-            back = d * (entry[1] - far)
-            if back > entry[2]:
-                entry[2] = back
-        entry = records.get(state)
-        depth = 0 if entry is None else entry[2]
+        for pair in records.values():
+            for entry in pair:
+                back = d * (entry[1] - far)
+                if back > entry[2]:
+                    entry[2] = back
+        pair = records.get(state)
+        if pair is None:
+            records[state] = [[t, head, 0, ()]]
+            return False
+        depth = max(pair[0][2], pair[-1][2])
         tape = self.tape
-        behind = tuple(tape.get(head - d * i, 0) for i in range(1, depth + 1))
-        if entry is not None and t != self.max_history and depth <= len(entry[3]) and entry[3][:depth] == behind:
-            self._cycle = (entry[0], t - entry[0], head - entry[1], depth)
-            return True
-        records[state] = [t, head, 0, behind]
+        behind = tuple([tape.get(head - d * i, 0) for i in range(1, depth + 1)])
+        if t != self.max_history:
+            for entry in pair:
+                depth = entry[2]
+                # a window shorter than depth never equals behind[:depth]
+                if entry[3][:depth] == behind[:depth]:
+                    self._cycle = (entry[0], t - entry[0], head - entry[1], depth)
+                    return True
+        records[state] = [[t, head, 0, behind], pair[0]]
         return False
 
     def _coast(self, n: int) -> None:

@@ -345,6 +345,17 @@ def three_cycler() -> Machine:
     )
 
 
+def sweeper() -> Machine:
+    """1LB0RA_0RB1RA, a 2x2 sweep member: period 6, shift +2.  Its right
+    records in state 0 alternate between two windows, so only records
+    two apart prove the cycle."""
+    return Machine(
+        2,
+        2,
+        {(0, 0): (1, LEFT, 1), (0, 1): (0, RIGHT, 0), (1, 0): (0, RIGHT, 1), (1, 1): (1, RIGHT, 0)},
+    )
+
+
 def mirrored(machine: Machine) -> Machine:
     """The same machine with every move reversed: its cycles shift the other way."""
     flip = {LEFT: RIGHT, RIGHT: LEFT}
@@ -358,6 +369,8 @@ CYCLERS = [
     (mirrored(shift_two_cycler()), (9, 6, -2)),
     (three_cycler(), (7, 11, 3)),
     (mirrored(three_cycler()), (7, 11, -3)),
+    (sweeper(), (6, 6, 2)),
+    (mirrored(sweeper()), (6, 6, -2)),
 ]
 
 
@@ -376,21 +389,26 @@ def test_right_runner_coasts_to_its_closed_form():
     assert run_with_oracle(runner(), (), budget=10**6) == BudgetExceeded(10**6, closed)
 
 
-def test_no_fingerprint_state_outlives_a_run():
-    # 1LB0RA_0RB1RA: 20 000 steps fill 6667 fingerprint table entries.
-    sweeper = Machine(
+def bouncer() -> Machine:
+    """1LB1RA_0RA1LB, a 2x2 sweep member: it sweeps back and forth over
+    a block of marks that grows by one cell a sweep, so it never repeats
+    a configuration and no translated cycle fits it."""
+    return Machine(
         2,
         2,
-        {(0, 0): (1, LEFT, 1), (0, 1): (0, RIGHT, 0), (1, 0): (0, RIGHT, 1), (1, 1): (1, RIGHT, 0)},
+        {(0, 0): (1, LEFT, 1), (0, 1): (1, RIGHT, 0), (1, 0): (0, RIGHT, 0), (1, 1): (1, LEFT, 1)},
     )
 
+
+def test_no_fingerprint_state_outlives_a_run():
     def module_dicts() -> dict[str, int]:
         return {name: len(v) for name, v in vars(oracle).items() if isinstance(v, dict)}
 
     before = module_dicts()
-    orun = OracleRun(sweeper, ())
+    orun = OracleRun(bouncer(), ())
     assert orun.advance(20_000) is None
-    assert len(orun._zobrist) == 6667
+    # 20 000 steps of the bouncer fill 141 fingerprint table entries.
+    assert len(orun._zobrist) == 141
     assert module_dicts() == before
 
 
@@ -476,10 +494,11 @@ def test_records_start_only_past_the_input():
     assert orun.snapshot() == run(flipper, (1, 0, 1, 1), budget=500).last_id
 
 
-def test_records_that_differ_behind_the_head_prove_nothing():
+def test_records_two_apart_prove_a_cycle_that_consecutive_ones_cannot():
     # Each record in state 0 looks back one cell, where the marks
     # alternate 2, 1, 2, ...: consecutive records in that state never
     # match, and taking them for a cycle would lay the wrong marks.
+    # Records two apart do match, and prove a period of 6.
     alternator = Machine(
         4,
         3,
@@ -495,7 +514,74 @@ def test_records_that_differ_behind_the_head_prove_nothing():
     orun = OracleRun(alternator, ())
     for _ in range(30):
         assert orun.advance(20) is None
+    assert orun.translation == (6, 6, 2)
     assert orun.snapshot() == run(alternator, (), budget=600).last_id
+
+
+def test_a_bouncer_proves_no_cycle():
+    # No two of its records in one state see the same cells behind
+    # them, so it is recorded step by step to the budget.
+    orun = OracleRun(bouncer(), ())
+    assert orun.advance(20_000) is None
+    assert orun.translation is None and orun._hist is not None
+    assert orun.snapshot() == run(bouncer(), (), budget=20_000).last_id
+
+
+# Each of these runs has two records in one state whose windows agree
+# only on too short a stretch behind the head.  A test that accepted a
+# window shorter than its depth, measured the older record's depth only
+# up to the newer record, or held the older record to the newer one's
+# depth would prove a false cycle and lay the wrong cells.
+FULL_DEPTH_ONLY = [
+    # 1LB0LB_1RB1LA
+    (
+        Machine(2, 2, {(0, 0): (1, LEFT, 1), (0, 1): (0, LEFT, 1), (1, 0): (1, RIGHT, 1), (1, 1): (1, LEFT, 0)}),
+        (9, 9, -3),
+    ),
+    # 0LC0RA_1RA1RA_1RB1LC
+    (
+        Machine(
+            3,
+            2,
+            {
+                (0, 0): (0, LEFT, 2),
+                (0, 1): (0, RIGHT, 0),
+                (1, 0): (1, RIGHT, 0),
+                (1, 1): (1, RIGHT, 0),
+                (2, 0): (1, RIGHT, 1),
+                (2, 1): (1, LEFT, 2),
+            },
+        ),
+        (25, 22, 2),
+    ),
+    # 1RB1RA_0LC1LC_1RA1LB, a bouncer: its tape grows like the square
+    # root of the steps, so no translated cycle fits it
+    (
+        Machine(
+            3,
+            2,
+            {
+                (0, 0): (1, RIGHT, 1),
+                (0, 1): (1, RIGHT, 0),
+                (1, 0): (0, LEFT, 2),
+                (1, 1): (1, LEFT, 2),
+                (2, 0): (1, RIGHT, 0),
+                (2, 1): (1, LEFT, 1),
+            },
+        ),
+        None,
+    ),
+]
+
+
+@pytest.mark.parametrize("machine, witness", FULL_DEPTH_ONLY)
+def test_records_prove_a_cycle_only_over_their_full_depth(machine, witness):
+    orun = OracleRun(machine, ())
+    assert orun.advance(3000) is None
+    assert orun.translation == witness
+    plain = PlainRun(machine, ())
+    assert not plain.execute(3000)
+    assert (orun.state, orun.head, orun.snapshot()) == (plain.state, plain.head, plain.snapshot())
 
 
 def test_history_cap_mid_period_in_one_step_slices():
