@@ -175,7 +175,3 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
-
-
-if __name__ == "__main__":
-    entry()

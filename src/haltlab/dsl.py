@@ -43,9 +43,11 @@ raises anything else.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .machine import Machine, MachineError
 from .recfun import (
@@ -124,51 +126,39 @@ class Program:
 # --- tokenizing the function grammar ---------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "word", "int", "punct", "end"
     text: str
     line: int
     col: int
 
 
+# Blanks, then one alternative per token kind, tried in order.  ``\w``
+# is ``str.isalnum()`` plus ``_``, so a word starting with a character
+# that is not a letter or ``_`` (a digit such as ``²``) is refused below.
+# ``other`` takes no blank, so blanks at the end of the text match nothing.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:(?P<newline>\n)|(?P<comment>#[^\n]*)|(?P<punct>[()=])"
+    r"|(?P<int>[0-9]+)|(?P<word>\w+)|(?P<other>[^ \t\r\n]))"
+)
+
+
 def _tokenize(text: str) -> list[_Token]:
+    """Every character is one column, a tab too."""
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            col += 1
-            i += 1
-        elif c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()=":
-            tokens.append(_Token("punct", c, line, col))
-            col += 1
-            i += 1
-        elif "0" <= c <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(_Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("word", text[i:j], line, col))
-            col += j - i
-            i = j
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(_Token("end", "", line, col))
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind != "comment":
+            token, col = match[kind], match.start(kind) - line_start + 1
+            if kind == "other" or (kind == "word" and not (token[0].isalpha() or token[0] == "_")):
+                raise ParseError(f"unexpected character {token[0]!r}", line, col)
+            tokens.append(_Token(kind, token, line, col))
+    # the end sits where the last line's text stops, before any comment
+    tail = text[line_start:].partition("#")[0]
+    tokens.append(_Token("end", "", line, len(tail) + 1))
     return tokens
 
 

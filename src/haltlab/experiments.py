@@ -492,26 +492,25 @@ def classify_all(
     runs = 0
     for decided, outcome, ran in leaves:
         runs += ran
-        # Slot k is the digit of weight radix**(slots-1-k).  The slots
-        # past the leaf's last decided one are free, so its indices come
-        # in ascending blocks of consecutive rows, one slice each.  A
-        # leaf that decides the last slot would have single-row blocks;
-        # it takes one strided slice over its last free slot instead.
-        free = [k for k in range(slots) if k not in decided]
-        if slots - 1 in decided and free:
-            cut = free[-1]
-            step = radix ** (slots - 1 - cut)
-            offset = sum(decided[k] * radix ** (slots - 1 - k) for k in range(cut + 1, slots))
-            count = radix
-        else:
-            cut = max(decided, default=-1) + 1
-            step, offset, count = 1, 0, radix ** (slots - cut)
-        # one slice per choice of the slots before cut
+        # Slot k is the digit of weight radix**(slots-1-k).  The leaf's
+        # last run of free slots, a..b-1 (empty when it decides them
+        # all), and its decided slots past b lay its rows out as one
+        # arithmetic progression per choice of the slots before a:
+        # radix**(b-a) rows, radix**(slots-b) apart, from an offset the
+        # digits past b fix.  One slice each.
+        b = slots
+        while b and b - 1 in decided:
+            b -= 1
+        a = b
+        while a and a - 1 not in decided:
+            a -= 1
+        step, count = radix ** (slots - b), radix ** (b - a)
+        offset = sum(decided[k] * radix ** (slots - 1 - k) for k in range(b, slots))
         starts = [0]
-        for k in range(cut):
+        for k in range(a):
             choice = (decided[k],) if k in decided else range(radix)
             starts = [i * radix + d for i in starts for d in choice]
-        span = radix ** (slots - cut)
+        span = radix ** (slots - a)
         ranges = [range(i * span + offset, i * span + offset + count * step, step) for i in starts]
         block = [outcome] * count
         for r in ranges:

@@ -142,14 +142,11 @@ TrioVerdict = Found | SelfTerminated | Proved | Exhausted
 
 
 class Undetermined:
-    """The extension value when the search was exhausted; not a number."""
+    """The extension value when the search was exhausted; not a number.
 
-    _instance: "Undetermined | None" = None
-
-    def __new__(cls) -> "Undetermined":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    ``UNDETERMINED`` is the one instance: ``reading`` returns it, and
+    readers test for it with ``is``.
+    """
 
     def __repr__(self) -> str:
         return "Undetermined"

@@ -189,6 +189,24 @@ def test_numbers_are_ascii_digits():
         assert parse_natural(text) is None
 
 
+def test_scanner_contract():
+    # A name starts with a letter or "_" and goes on with any letter,
+    # digit or "_" that str.isalnum takes, so "x²" is one name.
+    assert parse_program("def é = zero").functions == {"é": Zero()}
+    assert list(parse_program("def x² = zero\ndef g = x²").functions) == ["x²", "g"]
+    with pytest.raises(ParseError, match="unexpected character '²'") as err:
+        parse_program("def g = proj 1 1 ²")
+    assert (err.value.line, err.value.col) == (1, 18)
+    # every character is one column, a tab too
+    with pytest.raises(ParseError) as err:
+        parse_program("def g =\t\t~")
+    assert (err.value.line, err.value.col) == (1, 10)
+    # the end of the input sits where its last line's text stops, before a comment
+    with pytest.raises(ParseError, match="unterminated composition") as err:
+        parse_program("def g = compose succ (zero # c")
+    assert (err.value.line, err.value.col) == (1, 28)
+
+
 def test_bad_projection_is_reported_with_the_definition_name():
     with pytest.raises(ParseError, match="g"):
         parse_program("def g = proj 4 3\n")

@@ -1,11 +1,14 @@
 """Loop-oracle tests: detection, budgets, history accounting, replay audits."""
 
+import random
+from itertools import chain
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haltlab import oracle
-from haltlab.experiments import MachineClass, classify_all, report_to_csv
+from haltlab.experiments import MachineClass, classify_all, enumerate_class, machine_code, report_to_csv
 from haltlab.machine import LEFT, RIGHT, InstantaneousDescription, Machine, initial_id, step
 from haltlab.oracle import (
     BudgetExceeded,
@@ -17,7 +20,7 @@ from haltlab.oracle import (
     run,
     run_with_oracle,
 )
-from tests.helpers import machines
+from tests.helpers import gen_machine, machines
 
 
 def ping_pong() -> Machine:
@@ -597,6 +600,30 @@ def test_history_cap_mid_period_in_one_step_slices():
     assert orun.translation == (11, 5, -1)
     assert outcome == BudgetExceeded(cap, run(machine, (), cap).last_id, history_capped=True)
     assert orun.advance(1) is outcome and orun.steps == cap
+
+
+def test_the_oracle_agrees_with_the_plain_kernel_over_small_classes():
+    """Every 2x2 machine and a seeded uniform sample of 3x2 and 2x3
+    machines, each run to one fixed step with and without the oracle.
+
+    A sweep row keeps no tape, so the sweep tests miss an unsound
+    translated-cycle proof.  Such a proof coasts the run to a wrong tape,
+    or past a halt, and this comparison shows either without naming a
+    machine.
+    """
+    rng = random.Random(1)
+    # 12 of a slot's 13 options are rules, so this density is uniform over the class
+    sample = [gen_machine(rng, n, m, density=12 / 13) for n, m in ((3, 2), (2, 3)) for _ in range(10_000)]
+    wrong = []
+    for machine in chain(enumerate_class(MachineClass(2, 2)), sample):
+        outcome, plain = run_with_oracle(machine, (), 200), run(machine, (), 200)
+        if isinstance(outcome, LoopDetected):
+            agrees = isinstance(plain, BudgetExceeded) and replay_verify(machine, (), outcome)
+        else:
+            agrees = outcome == plain
+        if not agrees:
+            wrong.append(machine_code(machine))
+    assert wrong == []
 
 
 @settings(max_examples=300, deadline=None)
