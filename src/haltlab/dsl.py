@@ -156,9 +156,10 @@ def _tokenize(text: str) -> list[_Token]:
             if kind == "other" or (kind == "word" and not (token[0].isalpha() or token[0] == "_")):
                 raise ParseError(f"unexpected character {token[0]!r}", line, col)
             tokens.append(_Token(kind, token, line, col))
-    # the end sits where the last line's text stops, before any comment
+    # The end sits where the last line's text stops, before any comment.
+    # It comes twice, so that ``peek(1)`` at the end stays in the list.
     tail = text[line_start:].partition("#")[0]
-    tokens.append(_Token("end", "", line, len(tail) + 1))
+    tokens += [_Token("end", "", line, len(tail) + 1)] * 2
     return tokens
 
 
@@ -168,7 +169,9 @@ class _Cursor:
         self.pos = 0
 
     def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        """The token ``ahead`` places on, for ``ahead`` 0 or 1; both stay
+        in the list, since ``next`` never moves past the first end token."""
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> _Token:
         tok = self.tokens[self.pos]

@@ -18,8 +18,11 @@ need from the leaves, and a budget leaf's run builds no snapshot.
 ``classify_all`` is one: it writes each leaf's outcome, by slices, at
 the canonical index of every machine below it, audits each
 halting or looping leaf by one oracle-free replay against the leaf's
-own partial table, and passes a row only when its table, read from its
-index, agrees with the leaf on every slot the leaf decides.
+own partial table, and flags each slice of the leaf's rows at once,
+passing it only when every row in it provably agrees with the leaf on
+every slot the leaf decides.  The census (rows per outcome, the
+longest halt, whether every audit passed) is totalled from the leaves
+as they come, so no reader scans the rows for it.
 A report is two columns addressed by canonical index, outcomes and
 audit flags; a machine's id is derived from its index, so no id is
 stored and no row object is ever built.  Classification reports are
@@ -45,7 +48,6 @@ from __future__ import annotations
 import csv
 import io
 import time
-from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -296,6 +298,11 @@ class ClassificationReport:
     the CSV prints no configuration, and keeping one per budget leaf
     made up almost all of a report (57 MiB of the 2x2 report at budget
     10^4, about 1.3 GB of the 3x2 run at 10^3).
+
+    ``counts`` (rows per outcome tag), ``max_halt_steps`` (None when
+    nothing halts) and ``all_audits_passed`` are the census of those
+    columns.  ``classify_all`` totals it from its leaves, and a report
+    built by hand passes its own; nothing here derives it from the rows.
     """
 
     mclass: MachineClass
@@ -305,30 +312,14 @@ class ClassificationReport:
     outcomes: Sequence[RunOutcome]
     audits: Sequence[bool | None]
     wall_seconds: float
+    counts: dict[str, int]
+    max_halt_steps: int | None
+    all_audits_passed: bool
     oracle_runs: int = 0
 
     @property
     def ids(self) -> MachineIds:
         return MachineIds(self.mclass)
-
-    @property
-    def counts(self) -> dict[str, int]:
-        by_type = Counter(map(type, self.outcomes))
-        halted, looped = by_type[Halted], by_type[LoopDetected]
-        return {
-            "halted": halted,
-            "loop_detected": looped,
-            "budget_exceeded": len(self.outcomes) - halted - looped,
-        }
-
-    @property
-    def max_halt_steps(self) -> int | None:
-        halts = (o.steps for o in self.outcomes if isinstance(o, Halted))
-        return max(halts, default=None)
-
-    @property
-    def all_audits_passed(self) -> bool:
-        return False not in self.audits
 
 
 def _outcome_fields(outcome: RunOutcome) -> tuple[str, int, int | str, int | str]:
@@ -466,12 +457,14 @@ def classify_all(
     A Halted or LoopDetected leaf, whether its outcome was run or
     mapped, is audited by one oracle-free replay of its verdict against
     the leaf's machine, the table with only its decided slots present.
-    A halt must also stop on a slot the leaf decides absent.  Each row's
-    flag in ``audits`` is that result and a check that the row agrees
-    with the leaf: its option index at each slot the leaf decides, read
-    as that digit of its canonical index, equals the leaf's.
-    Machines that merely ran out of budget keep the flag None.  This
-    vouches for every row as a replay against its own machine would:
+    A halt must also stop on a slot the leaf decides absent.  The leaf's
+    rows are written as slices, and each slice's flag in ``audits`` is
+    that result and a check that every row in it agrees with the leaf:
+    its option index at each slot the leaf decides, read as that digit
+    of its canonical index, equals the leaf's.  One check per slice
+    proves that for all its rows (see the loop).  Machines that merely
+    ran out of budget keep the flag None.  This vouches for every row as
+    a replay against its own machine would:
 
     - Every undecided slot is absent in the leaf's machine, so a replay
       that reaches the claimed verdict consulted only decided rules.
@@ -481,6 +474,10 @@ def classify_all(
       so no row has a rule there.
     - Every row agrees with the leaf on those slots, so by determinism
       its run is the leaf's run, step for step, to the same verdict.
+
+    The report's census is totalled leaf by leaf: each leaf adds its
+    rows to its outcome's count, a halted leaf its steps to the longest
+    halt, and an audited slice its flag to ``all_audits_passed``.
     """
     input_symbols = tuple(input_symbols)
     started = time.perf_counter()
@@ -489,7 +486,9 @@ def classify_all(
     radix, slots = len(options), mclass.state_count * mclass.alphabet_size
     outcomes: list = [None] * mclass.size
     audits: list[bool | None] = [None] * mclass.size
-    runs = 0
+    counts = dict.fromkeys(("halted", "loop_detected", "budget_exceeded"), 0)
+    halts: list[int] = []
+    passed, runs = True, 0
     for decided, outcome, ran in leaves:
         runs += ran
         # Slot k is the digit of weight radix**(slots-1-k).  The leaf's
@@ -515,15 +514,25 @@ def classify_all(
         block = [outcome] * count
         for r in ranges:
             outcomes[r.start : r.stop : r.step] = block
-        if isinstance(outcome, (Halted, LoopDetected)):
-            leaf = _machine(mclass, options, decided.items())
-            ok = replay_verify(leaf, input_symbols, outcome)
-            if isinstance(outcome, Halted):
-                ok = ok and decided.get(_halt_slot(mclass, outcome)) == 0
-            digits = [(radix ** (slots - 1 - k), d) for k, d in decided.items()]
-            for r in ranges:
-                for index in r:
-                    audits[index] = ok and all(index // weight % radix == d for weight, d in digits)
+        tag = _outcome_fields(outcome)[0]
+        counts[tag] += count * len(ranges)
+        if tag == "budget_exceeded":
+            continue
+        leaf = _machine(mclass, options, decided.items())
+        ok = replay_verify(leaf, input_symbols, outcome)
+        if isinstance(outcome, Halted):
+            halts.append(outcome.steps)
+            ok = ok and decided.get(_halt_slot(mclass, outcome)) == 0
+        # A slice agrees with the leaf on every row when its start does
+        # and it steps by radix**(slots-b) inside one block of
+        # radix**(slots-a) rows: adding a multiple of that step keeps
+        # the digits of slots b.., and the block keeps those before a.
+        digits = [(radix ** (slots - 1 - k), d) for k, d in decided.items()]
+        for r in ranges:
+            inside = r.step == radix ** (slots - b) and r[-1] // span == r.start // span
+            flag = ok and inside and all(r.start // weight % radix == d for weight, d in digits)
+            audits[r.start : r.stop : r.step] = [flag] * count
+            passed = passed and flag
     return ClassificationReport(
         mclass=mclass,
         budget=budget,
@@ -532,6 +541,9 @@ def classify_all(
         outcomes=outcomes,
         audits=audits,
         wall_seconds=time.perf_counter() - started,
+        counts=counts,
+        max_halt_steps=max(halts, default=None),
+        all_audits_passed=passed,
         oracle_runs=runs,
     )
 

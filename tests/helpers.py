@@ -243,6 +243,20 @@ def rowwise_report_csv(report: experiments.ClassificationReport) -> str:
     return buffer.getvalue()
 
 
+def rowwise_census(outcomes, audits) -> dict:
+    """The census of a report's columns, taken row by row: the reference
+    for the one ``experiments.classify_all`` totals from its leaves, as
+    ``ClassificationReport`` keyword arguments."""
+    tags = ["halted" if isinstance(o, Halted) else "loop_detected"
+            if isinstance(o, LoopDetected) else "budget_exceeded" for o in outcomes]
+    halts = [o.steps for o in outcomes if isinstance(o, Halted)]
+    return {
+        "counts": {tag: tags.count(tag) for tag in ("halted", "loop_detected", "budget_exceeded")},
+        "max_halt_steps": max(halts, default=None),
+        "all_audits_passed": all(a is not False for a in audits),
+    }
+
+
 def tamper_one_leaf(monkeypatch, kind: type) -> list[dict[int, int]]:
     """Make ``experiments.sweep_leaves`` yield one false claim: the first
     leaf of outcome type ``kind`` halts one step late (Halted) or loops

@@ -45,7 +45,7 @@ from haltlab.experiments import (
 )
 from haltlab.recfun import MONUS, Compose, Proj, const_expr
 from haltlab.trio import UNDETERMINED
-from tests.helpers import rowwise_report_csv, tamper_one_leaf
+from tests.helpers import rowwise_census, rowwise_report_csv, tamper_one_leaf
 
 FIXTURES = "fixtures/trio"
 
@@ -159,7 +159,8 @@ def test_prefix_tree_sweep_matches_one_run_per_machine(
     expected = _per_machine_rows(mclass, budget, history_cap, input_symbols)
     _, outcomes, audits = zip(*expected)
     reference = ClassificationReport(
-        mclass, budget, history_cap, input_symbols, outcomes, audits, 0.0
+        mclass, budget, history_cap, input_symbols, outcomes, audits, 0.0,
+        **rowwise_census(outcomes, audits),
     )
     assert report_to_csv(report) == report_to_csv(reference)
     assert 1 <= report.oracle_runs <= mclass.size
@@ -183,13 +184,10 @@ def test_prefix_tree_sweep_matches_one_run_per_machine(
             ids[k]
     assert list(ids) == [machine_code(m) for m in enumerate_class(mclass)]
 
-    # The column-reading summaries agree with a walk over the reference.
-    tags = ["halted" if isinstance(o, Halted) else "loop_detected"
-            if isinstance(o, LoopDetected) else "budget_exceeded" for o in outcomes]
-    assert report.counts == {tag: tags.count(tag) for tag in report.counts}
-    halts = [o.steps for o in outcomes if isinstance(o, Halted)]
-    assert report.max_halt_steps == (max(halts) if halts else None)
-    assert report.all_audits_passed == all(a is not False for a in audits)
+    # The census totalled from the leaves is the one a walk over the
+    # reference rows takes.
+    census = rowwise_census(outcomes, audits)
+    assert {name: getattr(report, name) for name in census} == census
 
     # The walk's leaves partition the class, in ascending order of their
     # first machine's index; the oracle ran for some of them, one per orbit.
@@ -276,6 +274,33 @@ def test_two_state_sweep_shares_runs_between_machines():
     # S(2,2) = 6 counts the halting transition; here a halt is an absent
     # rule and executes no step, so the class's longest halt reads 5.
     assert report.max_halt_steps == 5
+
+
+class _Unreadable:
+    """A column that has a length but refuses to be read."""
+
+    def __init__(self, length):
+        self.length = length
+
+    def __len__(self):
+        return self.length
+
+    def __iter__(self):
+        raise AssertionError("the column was read")
+
+    def __getitem__(self, index):
+        raise AssertionError("the column was read")
+
+
+def test_the_summary_reads_the_census_not_the_columns():
+    """``classify_all`` stores the census it totalled from its leaves, so
+    the summary and the audit verdict need no row of either column."""
+    report = classify_all(MachineClass(2, 2), budget=1_000)
+    sealed = replace(
+        report, outcomes=_Unreadable(len(report.outcomes)), audits=_Unreadable(len(report.audits))
+    )
+    assert summary_text(sealed) == summary_text(report)
+    assert sealed.all_audits_passed is report.all_audits_passed is True
 
 
 @pytest.mark.parametrize(
@@ -392,18 +417,21 @@ def test_classification_csv_is_stable():
 
 def test_csv_row_shapes_for_all_outcomes():
     # The 1x1 class has three machines: ---, 0LA and 0RA.
+    outcomes = [
+        Halted(steps=0, final_id=None),
+        LoopDetected(first_index=0, period=2),
+        BudgetExceeded(steps=9, last_id=None),
+    ]
+    audits = [True, True, None]
     report = ClassificationReport(
         mclass=MachineClass(1, 1),
         budget=9,
         history_cap=None,
         input_symbols=(),
-        outcomes=[
-            Halted(steps=0, final_id=None),
-            LoopDetected(first_index=0, period=2),
-            BudgetExceeded(steps=9, last_id=None),
-        ],
-        audits=[True, True, None],
+        outcomes=outcomes,
+        audits=audits,
         wall_seconds=1.23,
+        **rowwise_census(outcomes, audits),
     )
     assert report_to_csv(report).splitlines() == [
         "machine_id,outcome,steps,loop_first,loop_period,audit",
@@ -430,6 +458,7 @@ def test_csv_refuses_columns_that_do_not_cover_the_class():
             outcomes=[outcome] * outcomes,
             audits=[None] * audits,
             wall_seconds=0.0,
+            **rowwise_census([outcome] * outcomes, [None] * audits),
         )
         stream = io.StringIO()
         expected = f"the {states}x2 class: {size} ids, {outcomes} outcomes, {audits} audits"
@@ -469,8 +498,9 @@ def test_the_csv_runs_break_at_each_new_outcome_object_or_flag(states, symbols):
             audits += [rng.choice((True, False, None))] * length
         else:
             audits += [rng.choice((True, False, None)) for _ in range(length)]
+    outcomes, audits = outcomes[: mclass.size], audits[: mclass.size]
     report = ClassificationReport(
-        mclass, 9, None, (), outcomes[: mclass.size], audits[: mclass.size], 0.0
+        mclass, 9, None, (), outcomes, audits, 0.0, **rowwise_census(outcomes, audits)
     )
     writes = []
     write_report_csv(report, type("Recorder", (), {"write": staticmethod(writes.append)})())
