@@ -18,7 +18,10 @@ it inlines by name; parentheses that only group do not count.  Nesting
 written out in the text is reported at the first constructor past the
 bound; nesting reached only through an inlined name is caught when the
 finished definition is checked with ``arity``, and reported at the
-definition's name.  ``#`` starts a comment in both formats.
+definition's name.  ``#`` starts a comment in both formats.  Either
+may open with a ``format=`` marker; its value is read as a natural
+(``parse_natural``) and must equal ``FORMAT_VERSION``, as in a
+``.task`` file.
 
 A name is inlined by reference, so a definition used twice is one
 shared subterm, not two copies.  ``arity``, the evaluators' compiler
@@ -305,12 +308,11 @@ def _significant_lines(text: str) -> list[tuple[int, str]]:
 
 def _parse_machine(text: str) -> Machine:
     lines = _significant_lines(text)
-    version = "".join(lines[0][1].split()) if lines else ""
-    if version == f"format={FORMAT_VERSION}":
-        lines = lines[1:]
-    elif version.startswith("format="):
+    if lines and "".join(lines[0][1].split()).startswith("format="):
         number, content = lines[0]
-        raise ParseError(f"unsupported format version in {content!r}", number, 1)
+        if parse_natural(content.partition("=")[2].strip()) != FORMAT_VERSION:
+            raise ParseError(f"unsupported format version in {content!r}", number, 1)
+        lines = lines[1:]
     if not lines:
         raise ParseError("missing machine header", 1, 1)
     header_line, header = lines[0]

@@ -7,14 +7,15 @@ and each machine is classified under the loop oracle from the blank tape
 parameter away).  A run reads only the transitions it consults, so
 machines that agree on those share one outcome.  ``sweep_leaves``
 walks the tree-normal-form prefix tree of Brady (1983) and yields each
-leaf, the slots it decides and its outcome, once in canonical order.
-Relabelling the non-start states, and mirroring L<->R when no input
-cell past cell 0 is non-blank, map the tree's nodes onto each other
-with their outcomes, so the oracle runs once per orbit of that group
-and the other members take the outcome mapped; at budget 10^3, 2x2
-has 297 leaves and 149 runs, 3x2 85,021 leaves and 21,257 runs.  That
-walk is the one place the tree is walked; its readers take what they
-need from the leaves, and a budget leaf's run builds no snapshot.
+leaf, the slots it decides and its outcome, once.  Relabelling the
+non-start states, and mirroring L<->R when no input cell past cell 0
+is non-blank, map the tree's nodes onto each other with their
+outcomes.  So the walk visits only the one canonical node of each
+orbit of that group, runs the oracle there, and yields each canonical
+leaf followed by its images with the outcome mapped; at budget 10^3,
+2x2 has 297 leaves and 149 runs, 3x2 85,021 leaves and 21,257 runs.
+That walk is the one place the tree is walked; its readers take what
+they need from the leaves, and a budget leaf's run builds no snapshot.
 ``classify_all`` is one: it writes each leaf's outcome, by slices, at
 the canonical index of every machine below it, audits each
 halting or looping leaf by one oracle-free replay against the leaf's
@@ -50,14 +51,12 @@ import io
 import time
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
-from itertools import chain, compress, count, islice, product
-from math import perm
+from itertools import chain, compress, count, islice, permutations, product
 from operator import is_not, or_
 from pathlib import Path
 from typing import TextIO
 
-from .dsl import ParseError, _significant_lines, load_program, parse_natural, parse_naturals
+from .dsl import FORMAT_VERSION, ParseError, _significant_lines, load_program, parse_natural, parse_naturals
 from .machine import LEFT, InstantaneousDescription, Machine, RIGHT, Transition
 from .oracle import (
     BudgetExceeded,
@@ -147,47 +146,11 @@ def _halt_slot(mclass: MachineClass, outcome: Halted) -> int:
     return final.state * mclass.alphabet_size + final.symbol_at(final.head)
 
 
-def _orbit(
-    decided: dict[int, int], states: int, symbols: int, mirrors: bool
-) -> tuple[tuple[int, ...], list[int], bool, int]:
-    """A node's orbit under relabelling its non-start states and, when
-    ``mirrors``, L<->R mirroring: (key, order, mirrored, size).
-
-    Relabel the states in order of first appearance along ``decided``,
-    whose slots come in the order the walk decided them.  Every member of
-    an orbit decides its slots in the image of that order, so this
-    relabelling takes each member to one table; ``key`` spells it, or its
-    mirror image where that spells less (then ``mirrored``).  ``order``
-    lists the states by their new label.  The relabellings that fix the
-    node are those of the states it never names, so the orbit has one
-    member per way to place the named non-start states, twice over when
-    mirroring gives a table no relabelling does.
-    """
-    label, order = {0: 0}, [0]
-    plain, mirror = [], []
-    for k, d in decided.items():
-        state, symbol = divmod(k, symbols)
-        # A node decides rules only: option d >= 1 is 1 + (write, move,
-        # next state) in mixed radix, so pair = write * 2 + move, L = 0.
-        pair, nxt = divmod(d - 1, states)
-        for q in (state, nxt):
-            if q not in label:
-                label[q] = len(order)
-                order.append(q)
-        slot = (label[state] * symbols + symbol) * (2 * states * symbols + 1)
-        plain.append(slot + 1 + pair * states + label[nxt])
-        mirror.append(slot + 1 + (pair ^ 1) * states + label[nxt])
-    key, flipped = tuple(plain), tuple(mirror)
-    size = perm(states - 1, len(order) - 1)
-    if not mirrors or key == flipped:
-        return key, order, False, size
-    return min(key, flipped), order, flipped < key, 2 * size
-
-
-def _moved(outcome: RunOutcome, states: Sequence[int] | dict[int, int], mirrored: bool) -> RunOutcome:
-    """The outcome of a node's image under a relabelling (state q becomes
-    ``states[q]``), mirrored or not: a halt's final state is relabelled
-    and, mirrored, its head and cells negated; other outcomes keep."""
+def _moved(outcome: RunOutcome, states: Sequence[int], mirrored: bool) -> RunOutcome:
+    """A leaf's outcome carried to its image under a relabelling (state q
+    becomes ``states[q]``), mirrored or not: a halt's final state is
+    relabelled and, mirrored, its head and cells negated; other outcomes
+    keep."""
     if not isinstance(outcome, Halted):
         return outcome
     final = outcome.final_id
@@ -359,19 +322,24 @@ def sweep_leaves(
     the same outcome, up to the same relabelling; so does mirroring
     L<->R when no input cell past cell 0 is non-blank, which makes the
     input its own mirror image.  Both fix the root's halting slot, so
-    the tree is closed under them.  The oracle runs for the first node
-    of each orbit the walk meets (``_orbit``); its outcome is kept
-    mapped onto the orbit's key table, and each later member takes it
-    mapped back through the inverse of the map that took that member to
-    the key table (``_moved``).  ``ran`` is true for a leaf whose node
-    ran, so the leaves with it true count the walk's oracle runs.  An
-    orbit's entry is dropped once its last member is visited, so the
-    walk holds only the orbits still open.
+    the tree is closed under them, and each orbit holds one canonical
+    node: it names its states 0, 1, 2, ... in order of first appearance
+    along ``decided`` and, when mirroring applies, its first rule moves
+    L.  A child adds one rule to its parent, so a canonical node's child
+    is canonical when the rule's next state is already named or the next
+    fresh label, and, at the root, when the rule moves L.  The walk runs
+    the canonical nodes only, depth first from a stack of at most slots
+    times (radix - 1) waiting nodes.  Each canonical leaf that names n
+    states comes first with ``ran`` true, then each of its images: one
+    per way to place its n - 1 named non-start states among the
+    non-start states, also mirrored when mirroring applies and the leaf
+    holds a rule, with the leaf's outcome mapped (``_moved``) and ``ran``
+    false.  So the leaves with ``ran`` true count the walk's oracle runs.
 
     A machine's canonical index is the mixed-radix number its option
-    indices spell, slot 0 first.  Leaves come in canonical order: by the
-    index of their first machine, the one with every undecided slot
-    absent.  A budget leaf yields ``BudgetExceeded(steps, None,
+    indices spell, slot 0 first.  The leaves come in a fixed order, but
+    not by index; ``classify_all`` writes each leaf at its machines'
+    indices.  A budget leaf yields ``BudgetExceeded(steps, None,
     history_capped)``: no reader keeps the last configuration, so the
     walk asks ``OracleRun`` itself and snapshots only a halt.
 
@@ -385,7 +353,7 @@ def sweep_leaves(
         raise ValueError("budget must be nonnegative")
     input_symbols = tuple(input_symbols)
     states, symbols = mclass.state_count, mclass.alphabet_size
-    radix, slots = len(options), states * symbols
+    radix = len(options)
     mirrors = not any(input_symbols[1:])
 
     def oracle_of(decided: dict[int, int]) -> OracleRun:
@@ -402,38 +370,40 @@ def sweep_leaves(
             return BudgetExceeded(outcome.steps, None, outcome.history_capped)
         return outcome
 
+    def images(
+        decided: dict[int, int], named: int, outcome: RunOutcome
+    ) -> Iterator[tuple[dict[int, int], RunOutcome, bool]]:
+        flips = (0, 1) if mirrors and any(decided.values()) else (0,)
+        ran = True
+        for placed in permutations(range(1, states), named - 1):
+            label = (0, *placed)
+            for flip in flips:
+                image = {}
+                for k, d in decided.items():
+                    state, symbol = divmod(k, symbols)
+                    pair, nxt = divmod(d - 1, states)  # unused when d is 0, absent
+                    image[label[state] * symbols + symbol] = d and 1 + (pair ^ flip) * states + label[nxt]
+                yield image, _moved(outcome, label, flip), ran
+                ran = False
+
     def walk(root: OracleRun) -> Iterator[tuple[dict[int, int], RunOutcome, bool]]:
-        # Nodes waiting to run, keyed by their first machine's index.
-        # Waiting nodes are disjoint, so no two share a key.
-        first, decided, waiting, ran = 0, {}, [], True
-        outcome = outcome_of(root)
-        # Open orbits: key -> [outcome of the key's table, members to come]
-        orbits: dict[tuple[int, ...], list] = {}
-        while True:
+        # Canonical nodes waiting to run, with how many states each names.
+        waiting: list[tuple[dict[int, int], int]] = [({}, 1)]
+        while waiting:
+            decided, named = waiting.pop()
+            outcome = outcome_of(oracle_of(decided) if decided else root)
             if isinstance(outcome, Halted):
                 k = _halt_slot(mclass, outcome)
                 if k not in decided:
-                    for d in range(1, radix):
-                        heappush(waiting, (first + d * radix ** (slots - 1 - k), {**decided, k: d}))
+                    # Pushed last to first, so children run in option order.
+                    # Option d >= 1 is 1 + (write, move, next state) in mixed
+                    # radix, so pair = write * 2 + move, and L = 0.
+                    for d in range(radix - 1, 0, -1):
+                        pair, nxt = divmod(d - 1, states)
+                        if nxt <= named and not (mirrors and not decided and pair & 1):
+                            waiting.append(({**decided, k: d}, max(named, nxt + 1)))
                     decided = {**decided, k: 0}
-            yield decided, outcome, ran
-            if not waiting:
-                return
-            first, decided = heappop(waiting)
-            key, order, mirrored, size = _orbit(decided, states, symbols, mirrors)
-            entry = orbits.get(key)
-            ran = entry is None
-            if ran:
-                outcome = outcome_of(oracle_of(decided))
-                if size > 1:
-                    label = {q: i for i, q in enumerate(order)}
-                    orbits[key] = [_moved(outcome, label, mirrored), size - 1]
-            else:
-                # The key's table is this node's image, so map back.
-                outcome = _moved(entry[0], order, mirrored)
-                entry[1] -= 1
-                if not entry[1]:
-                    del orbits[key]
+            yield from images(decided, named, outcome)
 
     return walk(oracle_of({}))
 
@@ -785,7 +755,8 @@ def load_fixture(path: str | Path) -> TrioFixture:
     Descriptors are key=value lines with ``#`` comments.  Required keys:
     ``g`` (a function file), ``entry`` (the definition to use),
     ``machine`` (a machine file), ``quantum``, ``budget``,
-    ``max_cert_size``.  Optional: ``args`` (comma-separated naturals),
+    ``max_cert_size``.  Optional: ``format`` (a natural, which must equal
+    ``FORMAT_VERSION``), ``args`` (comma-separated naturals),
     ``expect`` (a verdict tag), ``history_cap`` (a natural; without it
     the recorder is unbounded).  File paths resolve relative to the
     descriptor.
@@ -806,7 +777,7 @@ def load_fixture(path: str | Path) -> TrioFixture:
         if key in pairs:
             raise FixtureError(f"{p}: line {number}: duplicate key {key!r}")
         pairs[key] = value
-    if pairs.get("format", "1") != "1":
+    if "format" in pairs and parse_natural(pairs["format"]) != FORMAT_VERSION:
         raise FixtureError(f"{p}: unsupported format version {pairs['format']!r}")
     missing = {"g", "entry", "machine", "quantum", "budget", "max_cert_size"} - pairs.keys()
     if missing:

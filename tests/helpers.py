@@ -257,27 +257,63 @@ def rowwise_census(outcomes, audits) -> dict:
     }
 
 
+def orbit_key(
+    decided: dict[int, int], states: int, symbols: int, mirrors: bool
+) -> tuple[tuple[int, int], ...]:
+    """The spelling every leaf of one sweep orbit shares, under relabelling
+    the non-start states and, when ``mirrors``, L<->R mirroring.
+
+    The states are relabelled in order of first appearance along
+    ``decided``, whose slots come in the order the walk decided them, and
+    the leaf is spelled as its (slot, option) pairs in that order; with
+    ``mirrors``, the smaller of that spelling and its mirror image.  An
+    absent entry (option 0) names only its slot's state.  This is the
+    sweep's old per-node orbit key, kept as the reference for its
+    grouping of leaves.
+    """
+    label = {0: 0}
+    plain, mirror = [], []
+    for k, d in decided.items():
+        state, symbol = divmod(k, symbols)
+        label.setdefault(state, len(label))
+        slot = label[state] * symbols + symbol
+        if not d:
+            plain.append((slot, 0))
+            mirror.append((slot, 0))
+            continue
+        # Option d >= 1 is 1 + (write, move, next state) in mixed radix,
+        # so pair = write * 2 + move, and L = 0.
+        pair, nxt = divmod(d - 1, states)
+        label.setdefault(nxt, len(label))
+        plain.append((slot, 1 + pair * states + label[nxt]))
+        mirror.append((slot, 1 + (pair ^ 1) * states + label[nxt]))
+    return min(tuple(plain), tuple(mirror)) if mirrors else tuple(plain)
+
+
 def tamper_one_leaf(monkeypatch, kind: type) -> list[dict[int, int]]:
     """Make ``experiments.sweep_leaves`` yield one false claim: the first
-    leaf of outcome type ``kind`` halts one step late (Halted) or loops
-    with its period plus one (LoopDetected), which is false for a loop of
-    period 2 or more.  The real walk still runs, and still refuses bad
-    arguments at its call.  Returns the list that receives the tampered
-    leaf's decided slots."""
+    leaf of outcome type ``kind`` that covers more than one machine halts
+    one step late (Halted) or, among loops of period 2 or more, loops
+    with its period plus one (LoopDetected).  Neither depends on the
+    order the walk yields its leaves in.  The real walk still runs, and
+    still refuses bad arguments at its call.  Returns the list that
+    receives the tampered leaf's decided slots."""
     walk = experiments.sweep_leaves
     tampered: list[dict[int, int]] = []
 
-    def sweep_leaves(*args, **kwargs):
-        leaves = walk(*args, **kwargs)
+    def sweep_leaves(mclass, *args, **kwargs):
+        leaves = walk(mclass, *args, **kwargs)
+        slots = mclass.state_count * mclass.alphabet_size
 
         def tampering():
             for decided, outcome, ran in leaves:
-                if not tampered and isinstance(outcome, kind):
+                if not tampered and isinstance(outcome, kind) and len(decided) < slots:
                     if kind is Halted:
                         outcome = replace(outcome, steps=outcome.steps + 1)
-                    else:
+                        tampered.append(decided)
+                    elif outcome.period >= 2:
                         outcome = replace(outcome, period=outcome.period + 1)
-                    tampered.append(decided)
+                        tampered.append(decided)
                 yield decided, outcome, ran
 
         return tampering()

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import pytest
 
+from haltlab.dsl import ParseError, load_program
 from haltlab.machine import LEFT, RIGHT, Machine
 from haltlab.oracle import (
     BudgetExceeded,
@@ -45,7 +46,7 @@ from haltlab.experiments import (
 )
 from haltlab.recfun import MONUS, Compose, Proj, const_expr
 from haltlab.trio import UNDETERMINED
-from tests.helpers import rowwise_census, rowwise_report_csv, tamper_one_leaf
+from tests.helpers import orbit_key, rowwise_census, rowwise_report_csv, tamper_one_leaf
 
 FIXTURES = "fixtures/trio"
 
@@ -189,8 +190,8 @@ def test_prefix_tree_sweep_matches_one_run_per_machine(
     census = rowwise_census(outcomes, audits)
     assert {name: getattr(report, name) for name in census} == census
 
-    # The walk's leaves partition the class, in ascending order of their
-    # first machine's index; the oracle ran for some of them, one per orbit.
+    # The walk's leaves partition the class; the oracle ran for some of
+    # them, one per orbit.
     leaves = list(sweep_leaves(mclass, budget, history_cap, input_symbols))
     slots, radix = states * symbols, 2 * states * symbols + 1
     assert sum(radix ** (slots - len(decided)) for decided, _, _ in leaves) == mclass.size
@@ -202,9 +203,26 @@ def test_prefix_tree_sweep_matches_one_run_per_machine(
         assert all(report.outcomes[i] == outcome for i in indices)
         written += indices
     assert len(set(written)) == len(written) == mclass.size
-    firsts = [sum(d * radix ** (slots - 1 - k) for k, d in decided.items()) for decided, _, _ in leaves]
-    assert firsts == sorted(firsts)
     assert report.oracle_runs == sum(ran for _, _, ran in leaves) <= len(leaves)
+
+    # Each leaf that ran is canonical (its states named in order of first
+    # appearance and, with mirroring, its first rule moving L) and heads
+    # its orbit: the leaves up to the next run leaf share its orbit key,
+    # and no orbit has two heads.  The order is fixed from walk to walk.
+    mirrors = not any(input_symbols[1:])
+    assert leaves[0][2]
+    heads: set = set()
+    for decided, _, ran in leaves:
+        key = orbit_key(decided, states, symbols, mirrors)
+        if ran:
+            assert key not in heads
+            heads.add(key)
+            head = key
+            assert orbit_key(decided, states, symbols, False) == tuple(decided.items())
+            rules = [d for d in decided.values() if d]
+            assert not (mirrors and rules) or (rules[0] - 1) // states % 2 == 0
+        assert key == head, decided
+    assert list(sweep_leaves(mclass, budget, history_cap, input_symbols)) == leaves
 
 
 @pytest.mark.parametrize("kind", [Halted, LoopDetected])
@@ -670,6 +688,28 @@ def test_fixture_descriptor_diagnostics(tmp_path, lines, reason):
     with pytest.raises(FixtureError, match=reason) as err:
         load_fixture(task)
     assert str(err.value).startswith(str(task))
+
+
+@pytest.mark.parametrize("marker, accepted", [("1", True), ("01", True), ("2", False), ("x", False)])
+@pytest.mark.parametrize("suffix", [".rf", ".tm", ".task"])
+def test_every_format_reads_its_version_marker_as_a_natural(tmp_path, suffix, marker, accepted):
+    """Function, machine and task files read ``format=`` by one rule: its
+    value is a natural, and it must equal ``FORMAT_VERSION``."""
+    for name in ("find_zero.rf", "runner.tm"):
+        shutil.copy(f"{FIXTURES}/{name}", tmp_path / name)
+    body = {
+        ".rf": "def g = zero\n",
+        ".tm": "states=1 alphabet=2 start=0\n0 0 -> 1 R 0\n",
+        ".task": "\n".join(_FOUND_MIN_ZERO[1:]) + "\n",
+    }[suffix]
+    path = tmp_path / f"case{suffix}"
+    path.write_text(f"format={marker}\n{body}", encoding="utf-8")
+    load = load_fixture if suffix == ".task" else load_program
+    if accepted:
+        load(path)
+    else:
+        with pytest.raises((ParseError, FixtureError), match="format version"):
+            load(path)
 
 
 def test_fixture_history_cap_must_be_a_natural(tmp_path):
