@@ -21,7 +21,8 @@ finished definition is checked with ``arity``, and reported at the
 definition's name.  ``#`` starts a comment in both formats.  Either
 may open with a ``format=`` marker; its value is read as a natural
 (``parse_natural``) and must equal ``FORMAT_VERSION``, as in a
-``.task`` file.
+``.task`` file; all three refuse another value ``v`` as "unsupported
+format version 'v'".
 
 A name is inlined by reference, so a definition used twice is one
 shared subterm, not two copies.  ``arity``, the evaluators' compiler
@@ -263,9 +264,9 @@ def _parse_version(cur: _Cursor) -> None:
     ):
         tok = cur.next()
         cur.next()
-        version = cur.expect_int("a format version")
-        if version != FORMAT_VERSION:
-            raise ParseError(f"unsupported format version {version}", tok.line, tok.col)
+        value = cur.next().text
+        if parse_natural(value) != FORMAT_VERSION:
+            raise ParseError(f"unsupported format version {value!r}", tok.line, tok.col)
 
 
 def _parse_functions(text: str) -> dict[str, RecExpr]:
@@ -310,8 +311,9 @@ def _parse_machine(text: str) -> Machine:
     lines = _significant_lines(text)
     if lines and "".join(lines[0][1].split()).startswith("format="):
         number, content = lines[0]
-        if parse_natural(content.partition("=")[2].strip()) != FORMAT_VERSION:
-            raise ParseError(f"unsupported format version in {content!r}", number, 1)
+        value = content.partition("=")[2].strip()
+        if parse_natural(value) != FORMAT_VERSION:
+            raise ParseError(f"unsupported format version {value!r}", number, 1)
         lines = lines[1:]
     if not lines:
         raise ParseError("missing machine header", 1, 1)

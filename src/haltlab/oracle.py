@@ -238,7 +238,14 @@ class OracleRun(PlainRun):
     proven cycle.  From then on it holds the cells before the laid
     region, the window, and the copies the kernel laid since the last
     skip; the copies behind them are kept as one count (see ``_jump``).
-    ``snapshot`` and ``cell_count`` take them into account.
+    ``snapshot`` and ``cell_count`` take them into account.  New copies
+    only ever join the region on the side away from its start, so a
+    coasting run keeps ``_shown`` = (copies, tape, at, n): how many
+    copies its last snapshot covered, that snapshot's tape tuple, and
+    the slice ``tape[at:at+n]`` that holds their pairs.  The next
+    snapshot takes those pairs as the same objects and builds pairs only
+    for the copies laid since.  So a coasting run keeps a reference to
+    its last snapshot's tape.
     """
 
     def __init__(
@@ -280,6 +287,8 @@ class OracleRun(PlainRun):
         self._cycle: tuple[int, int, int, int] | None = None
         # [start, copies, block] once a period is skipped, see _jump
         self._laid: list | None = None
+        # (copies, tape, at, n) of the last coasting snapshot, see snapshot
+        self._shown: tuple = (0, (), 0, 0)
 
     @property
     def translation(self) -> tuple[int, int, int] | None:
@@ -295,23 +304,30 @@ class OracleRun(PlainRun):
         pairs = sorted(self.tape.items())
         if self._laid is not None:
             start, copies, block = self._laid
+            shown, past, at, n = self._shown
             _, _, shift, _ = self._cycle
             width = len(block)
-            size = copies * width
-            if shift < 0:  # laid leftward from start
-                start, block = start - size + 1, block[::-1]
+            # the region starts at cell low; fresh..end-1 hold the copies not shown yet
+            if shift > 0:
+                low, fresh, end = start, start + shown * width, start + copies * width
+            else:  # laid leftward from start
+                low = fresh = start - copies * width + 1
+                end, block = start - shown * width + 1, block[::-1]
             # one ascending run of pairs per non-blank cell of the block
-            runs = [
-                zip(range(start + i, start + size, width), repeat(sym))
-                for i, sym in enumerate(block)
-                if sym
-            ]
+            runs = [zip(range(fresh + i, end, width), repeat(sym)) for i, sym in enumerate(block) if sym]
             laid = list(runs[0]) if len(runs) == 1 else list(chain.from_iterable(zip(*runs)))
+            # the shown copies' pairs go in as they are, on start's side
+            if shift > 0:
+                laid[:0] = past[at : at + n]
+            else:
+                laid += past[at : at + n]
             # no live cell lies inside the region, so it goes in whole
-            at = bisect_left(pairs, (start,))
+            at = bisect_left(pairs, (low,))
+            n = len(laid)
             laid[:0] = pairs[:at]
             laid += pairs[at:]
-            pairs = laid
+            pairs = tuple(laid)
+            self._shown = (copies, pairs, at, n)
         return InstantaneousDescription(self.state, self.head, tuple(pairs))
 
     def cell_count(self) -> int:

@@ -260,10 +260,10 @@ def test_shared_definitions_cost_their_distinct_nodes():
         ("g.rf", "def g = compose succ (proj 1 1", "unterminated composition argument list"),
         ("g.rf", "def g = compose succ ()\n", "compose needs at least one argument"),
         ("g.rf", "def g = compose succ (def)\n", "'def' cannot appear inside a term"),
-        ("g.rf", "format=2\ndef g = zero\n", "unsupported format version 2"),
-        ("m.tm", "format=2\nstates=1 alphabet=2 start=0\n", "unsupported format version"),
-        ("m.tm", "format = 2\nstates=1 alphabet=2 start=0\n", "unsupported format version"),
-        ("m.tm", "format\t=\t2\nstates=1 alphabet=2 start=0\n", "unsupported format version"),
+        ("g.rf", "format=2\ndef g = zero\n", "unsupported format version '2'"),
+        ("m.tm", "format=2\nstates=1 alphabet=2 start=0\n", "unsupported format version '2'"),
+        ("m.tm", "format = 2\nstates=1 alphabet=2 start=0\n", "unsupported format version '2'"),
+        ("m.tm", "format\t=\t2\nstates=1 alphabet=2 start=0\n", "unsupported format version '2'"),
         ("m.tm", "states=1 start=0\n", r"header is missing \['alphabet'\]"),
         ("m.tm", "states=1 alphabet=2 start=0 states=2\n", "duplicate header field 'states'"),
         ("m.tm", "states=0 alphabet=2 start=0\n", "header values out of range"),

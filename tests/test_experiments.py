@@ -694,7 +694,8 @@ def test_fixture_descriptor_diagnostics(tmp_path, lines, reason):
 @pytest.mark.parametrize("suffix", [".rf", ".tm", ".task"])
 def test_every_format_reads_its_version_marker_as_a_natural(tmp_path, suffix, marker, accepted):
     """Function, machine and task files read ``format=`` by one rule: its
-    value is a natural, and it must equal ``FORMAT_VERSION``."""
+    value is a natural, and it must equal ``FORMAT_VERSION``; any other
+    value is refused in the same words."""
     for name in ("find_zero.rf", "runner.tm"):
         shutil.copy(f"{FIXTURES}/{name}", tmp_path / name)
     body = {
@@ -708,7 +709,7 @@ def test_every_format_reads_its_version_marker_as_a_natural(tmp_path, suffix, ma
     if accepted:
         load(path)
     else:
-        with pytest.raises((ParseError, FixtureError), match="format version"):
+        with pytest.raises((ParseError, FixtureError), match=f"unsupported format version '{marker}'"):
             load(path)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haltlab import oracle
-from haltlab.experiments import MachineClass, classify_all, enumerate_class, machine_code, report_to_csv
+from haltlab.experiments import MachineClass, classify_all, enumerate_class, falsify_demo, machine_code, report_to_csv
 from haltlab.machine import LEFT, RIGHT, InstantaneousDescription, Machine, initial_id, step
 from haltlab.oracle import (
     BudgetExceeded,
@@ -480,6 +480,42 @@ def test_history_cap_mid_period_after_a_jump(machine, witness):
     orun = OracleRun(machine, (), max_history=cap)
     assert orun.advance(10**4) == BudgetExceeded(cap, run(machine, (), cap).last_id, history_capped=True)
     assert orun.translation == witness and orun._laid is not None
+
+
+def _laid_pairs(orun: OracleRun, snap: InstantaneousDescription) -> list:
+    """The pairs of ``snap`` that lie in ``orun``'s laid region."""
+    start, copies, block = orun._laid
+    size = copies * len(block)
+    low, high = (start, start + size) if orun.translation[2] > 0 else (start - size + 1, start + 1)
+    return [pair for pair in snap.tape if low <= pair[0] < high]
+
+
+@pytest.mark.parametrize("machine", [runner(), *(machine for machine, _ in CYCLERS)])
+def test_coasting_snapshots_reuse_the_pairs_they_showed(machine):
+    orun = OracleRun(machine, ())
+    plain = PlainRun(machine, ())
+    shown = []
+    # growing steps, aligned or not, the first ones before any jump
+    for n in (3, 20, 1, 176, 800, 37, 4_000, 1, 15_000):
+        assert orun.advance(n) is None
+        assert not plain.execute(n)
+        snap = orun.snapshot()
+        assert snap == plain.snapshot()
+        later = {pair[0]: pair for pair in snap.tape}
+        assert all(later[pair[0]] is pair for pair in shown)
+        if orun._laid is not None:
+            shown = _laid_pairs(orun, snap)
+    assert len(shown) > 1_000
+
+
+def test_the_falsify_ladder_builds_each_laid_pair_once():
+    tapes = [outcome.last_id.tape for outcome in falsify_demo().outcomes]
+    assert [len(tape) for tape in tapes] == [10**2, 10**3, 10**4, 10**5, 10**6]
+    # Each rung builds anew only the copies laid since the rung before
+    # and its live tape, which here is one cell: cell 0, just before the
+    # laid region (the window is the blank head cell).
+    distinct = len({id(pair) for tape in tapes for pair in tape})
+    assert distinct <= len(tapes[-1]) + len(tapes)
 
 
 def test_records_start_only_past_the_input():

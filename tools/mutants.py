@@ -55,6 +55,12 @@ _PINNED = "tests/test_experiments.py::test_two_state_sweep_shares_runs_between_m
 _OWN_TABLE = "tests/test_experiments.py::test_every_leaf_has_the_outcome_of_its_own_table"
 _ONE_STATE = "tests/test_experiments.py::test_one_state_class_has_no_loops_from_blank_tape"
 _EXPERIMENTS = "src/haltlab/experiments.py"
+_ORACLE = "src/haltlab/oracle.py"
+_REUSE = "tests/test_oracle.py::test_coasting_snapshots_reuse_the_pairs_they_showed"
+_SKIPPED = "tests/test_oracle.py::test_translated_cyclers_are_proven_and_skipped_exactly"
+_ALIGNED = "tests/test_oracle.py::test_slices_that_end_on_an_aligned_step_resume_exactly"
+_FULL_DEPTH = "tests/test_oracle.py::test_records_prove_a_cycle_only_over_their_full_depth"
+_SMALL_CLASSES = "tests/test_oracle.py::test_the_oracle_agrees_with_the_plain_kernel_over_small_classes"
 
 MUTANTS = (
     # The strided fill of a leaf's rows (classify_all).
@@ -125,6 +131,32 @@ MUTANTS = (
         _EXPERIMENTS,
         (("_moved(outcome, label, flip)", "outcome"),),
         (_SWEEP, _OWN_TABLE),
+    ),
+    # The coasting snapshot (OracleRun.snapshot).
+    Mutant(
+        "snapshot-left-no-reverse",
+        _ORACLE,
+        (("end, block = start - shown * width + 1, block[::-1]", "end = start - shown * width + 1"),),
+        (_SKIPPED, _REUSE),
+    ),
+    Mutant(
+        "snapshot-reuse-wrong-end",
+        _ORACLE,
+        (("laid += past[at : at + n]", "laid[:0] = past[at : at + n]"),),
+        (_ALIGNED, _REUSE),
+    ),
+    # The translated-cycle records (OracleRun._record).
+    Mutant(
+        "record-older-depth-not-updated",
+        _ORACLE,
+        (("            for entry in pair:\n                back", "            for entry in pair[:1]:\n                back"),),
+        (_FULL_DEPTH, _SMALL_CLASSES),
+    ),
+    Mutant(
+        "record-older-at-newer-depth",
+        _ORACLE,
+        (("depth = entry[2]", "depth = pair[0][2]"),),
+        (_FULL_DEPTH, _SMALL_CLASSES),
     ),
 )
 
