@@ -1,4 +1,5 @@
-"""Parsing and printing for the two little text formats.
+"""Parsing and printing for the two little text formats, and the
+opening every text file shares.
 
 Machine files (conventionally ``.tm``) are line-oriented: an optional
 ``format=1`` version marker, one header line ``states=N alphabet=M
@@ -18,11 +19,15 @@ it inlines by name; parentheses that only group do not count.  Nesting
 written out in the text is reported at the first constructor past the
 bound; nesting reached only through an inlined name is caught when the
 finished definition is checked with ``arity``, and reported at the
-definition's name.  ``#`` starts a comment in both formats.  Either
-may open with a ``format=`` marker; its value is read as a natural
-(``parse_natural``) and must equal ``FORMAT_VERSION``, as in a
-``.task`` file; all three refuse another value ``v`` as "unsupported
-format version 'v'".
+definition's name.  ``#`` starts a comment in both formats.
+
+Both formats, and the trio's ``.task`` descriptors, open through
+``significant_lines``: the optional ``format=`` marker is the first
+non-blank line of the file, comments aside, and its value is the rest
+of that line, read as a natural (``parse_natural``) that must equal
+``FORMAT_VERSION``.  All three refuse another value ``v``, the empty
+one included, as "unsupported format version 'v'".  Lines end where
+``str.splitlines`` ends them, in both grammars.
 
 A name is inlined by reference, so a definition used twice is one
 shared subterm, not two copies.  ``arity``, the evaluators' compiler
@@ -127,6 +132,29 @@ class Program:
     machines: dict[str, Machine] = field(default_factory=dict)
 
 
+def significant_lines(text: str) -> tuple[list[tuple[int, str]], bool]:
+    """The numbered lines of a text past its version marker, and whether
+    it had one; lines are cut at ``#`` and stripped, and blank ones dropped.
+
+    The first of them is the marker when its text before any ``=`` is
+    the word ``format``.  The rest of that line must then be a natural
+    equal to ``FORMAT_VERSION``; any other value ``v`` raises ParseError
+    "unsupported format version 'v'".
+    """
+    lines = []
+    for number, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.split("#", 1)[0].strip()
+        if stripped:
+            lines.append((number, stripped))
+    if not lines or lines[0][1].partition("=")[0].strip() != "format":
+        return lines, False
+    number, marker = lines[0]
+    value = marker.partition("=")[2].strip()
+    if parse_natural(value) != FORMAT_VERSION:
+        raise ParseError(f"unsupported format version {value!r}", number, 1)
+    return lines[1:], True
+
+
 # --- tokenizing the function grammar ---------------------------------------
 
 
@@ -137,13 +165,16 @@ class _Token(NamedTuple):
     col: int
 
 
+# The line breaks of ``str.splitlines``, so that tokens and
+# ``significant_lines`` agree on where each line and comment ends.
+_BREAK = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # Blanks, then one alternative per token kind, tried in order.  ``\w``
 # is ``str.isalnum()`` plus ``_``, so a word starting with a character
 # that is not a letter or ``_`` (a digit such as ``²``) is refused below.
 # ``other`` takes no blank, so blanks at the end of the text match nothing.
 _TOKEN = re.compile(
-    r"[ \t\r]*(?:(?P<newline>\n)|(?P<comment>#[^\n]*)|(?P<punct>[()=])"
-    r"|(?P<int>[0-9]+)|(?P<word>\w+)|(?P<other>[^ \t\r\n]))"
+    rf"[ \t]*(?:(?P<newline>\r\n|[{_BREAK}])|(?P<comment>#[^{_BREAK}]*)|(?P<punct>[()=])"
+    rf"|(?P<int>[0-9]+)|(?P<word>\w+)|(?P<other>[^ \t{_BREAK}]))"
 )
 
 
@@ -161,9 +192,8 @@ def _tokenize(text: str) -> list[_Token]:
                 raise ParseError(f"unexpected character {token[0]!r}", line, col)
             tokens.append(_Token(kind, token, line, col))
     # The end sits where the last line's text stops, before any comment.
-    # It comes twice, so that ``peek(1)`` at the end stays in the list.
     tail = text[line_start:].partition("#")[0]
-    tokens += [_Token("end", "", line, len(tail) + 1)] * 2
+    tokens.append(_Token("end", "", line, len(tail) + 1))
     return tokens
 
 
@@ -172,10 +202,8 @@ class _Cursor:
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        """The token ``ahead`` places on, for ``ahead`` 0 or 1; both stay
-        in the list, since ``next`` never moves past the first end token."""
-        return self.tokens[self.pos + ahead]
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
 
     def next(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -255,23 +283,8 @@ def _parse_constructor(cur: _Cursor, env: dict[str, RecExpr], depth: int) -> Rec
     raise ParseError(f"unknown name {word!r}", tok.line, tok.col)
 
 
-def _parse_version(cur: _Cursor) -> None:
-    if (
-        cur.peek().kind == "word"
-        and cur.peek().text == "format"
-        and cur.peek(1).kind == "punct"
-        and cur.peek(1).text == "="
-    ):
-        tok = cur.next()
-        cur.next()
-        value = cur.next().text
-        if parse_natural(value) != FORMAT_VERSION:
-            raise ParseError(f"unsupported format version {value!r}", tok.line, tok.col)
-
-
-def _parse_functions(text: str) -> dict[str, RecExpr]:
-    cur = _Cursor(_tokenize(text))
-    _parse_version(cur)
+def _parse_functions(tokens: list[_Token]) -> dict[str, RecExpr]:
+    cur = _Cursor(tokens)
     env: dict[str, RecExpr] = {}
     while cur.peek().kind != "end":
         tok = cur.next()
@@ -298,23 +311,7 @@ def _parse_functions(text: str) -> dict[str, RecExpr]:
 # --- the machine grammar ----------------------------------------------------
 
 
-def _significant_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for number, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            out.append((number, stripped))
-    return out
-
-
-def _parse_machine(text: str) -> Machine:
-    lines = _significant_lines(text)
-    if lines and "".join(lines[0][1].split()).startswith("format="):
-        number, content = lines[0]
-        value = content.partition("=")[2].strip()
-        if parse_natural(value) != FORMAT_VERSION:
-            raise ParseError(f"unsupported format version {value!r}", number, 1)
-        lines = lines[1:]
+def _parse_machine(lines: list[tuple[int, str]]) -> Machine:
     if not lines:
         raise ParseError("missing machine header", 1, 1)
     header_line, header = lines[0]
@@ -374,13 +371,18 @@ def parse_program(text: str) -> Program:
     marker) is a machine header parses as a single machine named
     ``main``; anything else parses as function definitions.
     """
-    lines = _significant_lines(text)
-    probe = 0
-    if lines and "".join(lines[0][1].split()).startswith("format="):
-        probe = 1
-    if probe < len(lines) and lines[probe][1].startswith("states="):
-        return Program(machines={MAIN_MACHINE: _parse_machine(text)})
-    return Program(functions=_parse_functions(text))
+    return _parse(text, "")
+
+
+def _parse(text: str, suffix: str) -> Program:
+    """``.tm`` forces the machine grammar and ``.rf`` the function
+    grammar; any other suffix, ``parse_program``'s empty one included,
+    picks machines when the first line past the marker is a header."""
+    lines, marked = significant_lines(text)
+    if suffix == ".tm" or (suffix != ".rf" and lines and lines[0][1].startswith("states=")):
+        return Program(machines={MAIN_MACHINE: _parse_machine(lines)})
+    # An accepted marker is three tokens: ``format``, ``=`` and a natural.
+    return Program(functions=_parse_functions(_tokenize(text)[3 * marked :]))
 
 
 def format_term(expr: RecExpr) -> str:
@@ -459,10 +461,6 @@ def load_program(path: str | Path) -> Program:
     except UnicodeDecodeError as err:
         raise ParseError(f"not valid UTF-8 ({err.reason})", 1, 1, p) from None
     try:
-        if p.suffix == ".tm":
-            return Program(machines={MAIN_MACHINE: _parse_machine(text)})
-        if p.suffix == ".rf":
-            return Program(functions=_parse_functions(text))
-        return parse_program(text)
+        return _parse(text, p.suffix)
     except ParseError as err:
         raise ParseError(err.reason, err.line, err.col, p) from None

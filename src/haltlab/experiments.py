@@ -56,7 +56,7 @@ from operator import is_not, or_
 from pathlib import Path
 from typing import TextIO
 
-from .dsl import FORMAT_VERSION, ParseError, _significant_lines, load_program, parse_natural, parse_naturals
+from .dsl import ParseError, load_program, parse_natural, parse_naturals, significant_lines
 from .machine import LEFT, InstantaneousDescription, Machine, RIGHT, Transition
 from .oracle import (
     BudgetExceeded,
@@ -752,11 +752,12 @@ class TrioFixture:
 def load_fixture(path: str | Path) -> TrioFixture:
     """Read one ``.task`` descriptor and the files it references.
 
-    Descriptors are key=value lines with ``#`` comments.  Required keys:
-    ``g`` (a function file), ``entry`` (the definition to use),
+    Descriptors are key=value lines with ``#`` comments, after an
+    optional ``format=`` marker on the first non-blank line, read as in
+    function and machine files (``dsl.significant_lines``).  Required
+    keys: ``g`` (a function file), ``entry`` (the definition to use),
     ``machine`` (a machine file), ``quantum``, ``budget``,
-    ``max_cert_size``.  Optional: ``format`` (a natural, which must equal
-    ``FORMAT_VERSION``), ``args`` (comma-separated naturals),
+    ``max_cert_size``.  Optional: ``args`` (comma-separated naturals),
     ``expect`` (a verdict tag), ``history_cap`` (a natural; without it
     the recorder is unbounded).  File paths resolve relative to the
     descriptor.
@@ -768,8 +769,12 @@ def load_fixture(path: str | Path) -> TrioFixture:
         raise FixtureError(f"{p}: {err.strerror or err}") from None
     except UnicodeDecodeError:
         raise FixtureError(f"{p}: not valid UTF-8") from None
+    try:
+        lines, _ = significant_lines(text)
+    except ParseError as err:
+        raise FixtureError(f"{p}: {err.reason}") from None
     pairs: dict[str, str] = {}
-    for number, stripped in _significant_lines(text):
+    for number, stripped in lines:
         if "=" not in stripped:
             raise FixtureError(f"{p}: line {number}: expected key=value, got {stripped!r}")
         key, _, value = stripped.partition("=")
@@ -777,13 +782,11 @@ def load_fixture(path: str | Path) -> TrioFixture:
         if key in pairs:
             raise FixtureError(f"{p}: line {number}: duplicate key {key!r}")
         pairs[key] = value
-    if "format" in pairs and parse_natural(pairs["format"]) != FORMAT_VERSION:
-        raise FixtureError(f"{p}: unsupported format version {pairs['format']!r}")
     missing = {"g", "entry", "machine", "quantum", "budget", "max_cert_size"} - pairs.keys()
     if missing:
         raise FixtureError(f"{p}: missing keys {sorted(missing)}")
     known = {
-        "format", "g", "entry", "machine", "quantum", "budget",
+        "g", "entry", "machine", "quantum", "budget",
         "max_cert_size", "args", "expect", "history_cap",
     }
     unknown = pairs.keys() - known

@@ -231,8 +231,9 @@ class OracleRun(PlainRun):
     that step as a capped BudgetExceeded, unless the step closed a loop.
     The cap counts every step, also after a translated cycle is proven
     and the run stops storing fingerprints.
-    ``translation`` is the proven cycle's witness.  Steps go through
-    ``advance`` only: the inherited ``execute`` skips the fingerprint.
+    ``translation`` is the proven cycle's witness, (first record step,
+    period, shift), or None.  Steps go through ``advance`` only: the
+    inherited ``execute`` skips the fingerprint.
 
     ``tape`` is the whole tape until the run first skips periods of a
     proven cycle.  From then on it holds the cells before the laid
@@ -285,15 +286,12 @@ class OracleRun(PlainRun):
         self._records: tuple[dict[int, list], dict[int, list]] | None = ({}, {})
         # first record step, period, shift, depth of a proven cycle
         self._cycle: tuple[int, int, int, int] | None = None
+        # _cycle's first three once proven; public, like outcome
+        self.translation: tuple[int, int, int] | None = None
         # [start, copies, block] once a period is skipped, see _jump
         self._laid: list | None = None
         # (copies, tape, at, n) of the last coasting snapshot, see snapshot
         self._shown: tuple = (0, (), 0, 0)
-
-    @property
-    def translation(self) -> tuple[int, int, int] | None:
-        """(first record step, period, shift) of the proven translated cycle, or None."""
-        return None if self._cycle is None else self._cycle[:3]
 
     @property
     def history_len(self) -> int:
@@ -464,6 +462,7 @@ class OracleRun(PlainRun):
                 # a window shorter than depth never equals behind[:depth]
                 if entry[3][:depth] == behind[:depth]:
                     self._cycle = (entry[0], t - entry[0], head - entry[1], depth)
+                    self.translation = self._cycle[:3]
                     return True
         records[state] = [[t, head, 0, behind], pair[0]]
         return False

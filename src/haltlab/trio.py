@@ -190,8 +190,6 @@ class TrioRun:
         self._t1_pending: tuple[int, int] | None = None
         self.t2_granted = 0
         self._t2 = OracleRun(task.t2_machine, (), max_history=task.t2_history_cap)
-        # t2_granted when T2 could no longer win, else None.
-        self._t2_lost_at: int | None = None
         self.t3_granted = 0
         self.t3_checked = 0
         self._t3_candidates: Iterator[Certificate] = enumerate_certificates(
@@ -203,13 +201,17 @@ class TrioRun:
     @property
     def t2_steps(self) -> int:
         t2 = self._t2
-        if t2.outcome is not None or self._t2_lost_at is None:
+        if t2.outcome is not None:
             return t2.steps
-        # A proven cycle neither halts nor repeats, so advancing it would
-        # have run every unit granted since, clipped at the cap.
-        steps = t2.steps + self.t2_granted - self._t2_lost_at
+        # Without an outcome T2 has run every unit granted, or would have
+        # had a proven cycle not stopped its stepping; its cap clips both.
         cap = t2.max_history
-        return steps if cap is None else min(steps, cap)
+        return self.t2_granted if cap is None else min(self.t2_granted, cap)
+
+    @property
+    def _t2_lost(self) -> bool:
+        """Halted, capped, looped or proven to cycle: T2 has nothing more to say."""
+        return self._t2.outcome is not None or self._t2.translation is not None
 
     def _advance_t1(self) -> Found | None:
         quantum = self.task.quantum
@@ -250,16 +252,10 @@ class TrioRun:
 
     def _advance_t2(self) -> SelfTerminated | None:
         self.t2_granted += self.task.quantum
-        if self._t2_lost_at is not None:
+        if self._t2_lost:
             return None
         outcome = self._t2.advance(self.task.quantum)
-        if isinstance(outcome, LoopDetected):
-            return SelfTerminated(outcome)
-        # Halted, capped or a proven translated cycle leaves T2 with
-        # nothing further to say.
-        if outcome is not None or self._t2.translation is not None:
-            self._t2_lost_at = self.t2_granted
-        return None
+        return SelfTerminated(outcome) if isinstance(outcome, LoopDetected) else None
 
     def _advance_t3(self) -> Proved | None:
         self.t3_granted += self.task.quantum
@@ -281,7 +277,7 @@ class TrioRun:
         verdict: TrioVerdict | None = None
         budget = self.task.budget
         while self.rounds_run < budget:
-            if self._t3_dry and self._t2_lost_at is not None:
+            if self._t3_dry and self._t2_lost:
                 self._grant_idle_rounds()
                 if self.rounds_run == budget:
                     break

@@ -2,6 +2,7 @@
 
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,7 @@ from haltlab.recfun import (
 from tests.helpers import gen_expr, gen_machine
 
 FIXTURES = "fixtures/trio"
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 def test_parses_a_single_definition():
@@ -264,6 +266,11 @@ def test_shared_definitions_cost_their_distinct_nodes():
         ("m.tm", "format=2\nstates=1 alphabet=2 start=0\n", "unsupported format version '2'"),
         ("m.tm", "format = 2\nstates=1 alphabet=2 start=0\n", "unsupported format version '2'"),
         ("m.tm", "format\t=\t2\nstates=1 alphabet=2 start=0\n", "unsupported format version '2'"),
+        # The marker's value is the rest of its own line, in every format.
+        ("g.rf", "format=\ndef g = zero\n", "line 1, column 1: unsupported format version ''"),
+        ("g.rf", "format\n=\n1\ndef g = zero\n", "line 1, column 1: unsupported format version ''"),
+        ("m.tm", "format\n=\n1\nstates=1 alphabet=2 start=0\n", "line 1, column 1: unsupported format version ''"),
+        ("m.tm", "for mat=1\nstates=1 alphabet=2 start=0\n", "line 1, column 1: malformed header field 'for'"),
         ("m.tm", "states=1 start=0\n", r"header is missing \['alphabet'\]"),
         ("m.tm", "states=1 alphabet=2 start=0 states=2\n", "duplicate header field 'states'"),
         ("m.tm", "states=0 alphabet=2 start=0\n", "header values out of range"),
@@ -299,6 +306,33 @@ def test_load_program_dispatches_on_suffix(tmp_path):
     sniffed = tmp_path / "prog.txt"
     sniffed.write_text(functions_text, encoding="utf-8")
     assert load_program(sniffed).functions["g"] == Zero()
+
+
+def test_sniffing_agrees_with_the_suffix_on_every_shipped_and_generated_file(tmp_path, monkeypatch):
+    # The seed-1 benchmark corpus, with the shipped fixtures copied in.
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import corpus
+
+    corpus.build(tmp_path / "corpus", 1)
+    paths = sorted(p for p in (tmp_path / "corpus").iterdir() if p.suffix in (".rf", ".tm"))
+    assert len(paths) > 50
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        assert text.startswith("format=1\n"), path
+        # CRLF everywhere, and a lone CR that joins the marker to the
+        # next line for the function grammar's tokens.
+        for variant in (text, text.replace("\n", "\r\n"), text.replace("\n", "\r", 1)):
+            path.write_bytes(variant.encode("utf-8"))
+            assert parse_program(variant) == load_program(path), (path.name, variant[:12])
+
+
+def test_function_lines_and_comments_end_at_every_line_break_of_splitlines():
+    # A comment stops at a lone CR, so the marker behind it is read, and
+    # its three tokens skipped, by lines and tokens alike.
+    text = "# note\rformat=1\rdef g = zero\fdef h = succ # c\u2028def k = g\r\n"
+    assert parse_program(text) == Program(functions={"g": Zero(), "h": Succ(), "k": Zero()})
+    with pytest.raises(ParseError, match="line 3, column 9: expected a term"):
+        parse_program("def g = zero\r\ndef h = succ\x85def k = ")
 
 
 def test_load_program_rejects_binary_garbage(tmp_path):

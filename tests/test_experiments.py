@@ -674,6 +674,8 @@ _FOUND_MIN_ZERO = [
         ([line.replace("runner.tm", "walker.tm") for line in _FOUND_MIN_ZERO], "walker.tm"),
         ([line.replace("find_zero.rf", "broken.rf") for line in _FOUND_MIN_ZERO], r"broken\.rf: line \d+, column \d+: expected '\('"),
         (None, "not valid UTF-8"),
+        # The marker is read on the first significant line only.
+        (_FOUND_MIN_ZERO[1:] + ["format=1"], r"unknown keys \['format'\]"),
     ],
 )
 def test_fixture_descriptor_diagnostics(tmp_path, lines, reason):
@@ -690,7 +692,9 @@ def test_fixture_descriptor_diagnostics(tmp_path, lines, reason):
     assert str(err.value).startswith(str(task))
 
 
-@pytest.mark.parametrize("marker, accepted", [("1", True), ("01", True), ("2", False), ("x", False)])
+@pytest.mark.parametrize(
+    "marker, accepted", [("1", True), ("01", True), ("2", False), ("x", False), ("", False), ("1 2", False)]
+)
 @pytest.mark.parametrize("suffix", [".rf", ".tm", ".task"])
 def test_every_format_reads_its_version_marker_as_a_natural(tmp_path, suffix, marker, accepted):
     """Function, machine and task files read ``format=`` by one rule: its

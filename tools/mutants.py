@@ -61,6 +61,12 @@ _SKIPPED = "tests/test_oracle.py::test_translated_cyclers_are_proven_and_skipped
 _ALIGNED = "tests/test_oracle.py::test_slices_that_end_on_an_aligned_step_resume_exactly"
 _FULL_DEPTH = "tests/test_oracle.py::test_records_prove_a_cycle_only_over_their_full_depth"
 _SMALL_CLASSES = "tests/test_oracle.py::test_the_oracle_agrees_with_the_plain_kernel_over_small_classes"
+_RECFUN = "src/haltlab/recfun.py"
+_AT_EVERY_FUEL = "tests/test_recfun.py::test_projection_step_recursion_matches_the_reference_at_every_fuel"
+_NO_LOOP = "tests/test_recfun.py::test_a_projection_step_recursion_costs_no_loop"
+_DSL = "src/haltlab/dsl.py"
+_MARKERS = "tests/test_experiments.py::test_every_format_reads_its_version_marker_as_a_natural"
+_SNIFFING = "tests/test_dsl.py::test_sniffing_agrees_with_the_suffix_on_every_shipped_and_generated_file"
 
 MUTANTS = (
     # The strided fill of a leaf's rows (classify_all).
@@ -157,6 +163,32 @@ MUTANTS = (
         _ORACLE,
         (("depth = entry[2]", "depth = pair[0][2]"),),
         (_FULL_DEPTH, _SMALL_CLASSES),
+    ),
+    Mutant(
+        "record-short-window-accepted",
+        _ORACLE,
+        (("if entry[3][:depth] == behind[:depth]:", "if entry[3] == behind[: len(entry[3])]:"),),
+        (_FULL_DEPTH, _SMALL_CLASSES),
+    ),
+    # A primitive recursion whose step is a projection (recfun's primrec_proj).
+    Mutant(
+        "primrec-proj-exhausts-late",
+        _RECFUN,
+        (("if remaining < y:", "if remaining < y - 1:"),),
+        (_AT_EVERY_FUEL, _NO_LOOP),
+    ),
+    # The version marker (dsl.significant_lines and the function grammar).
+    Mutant(
+        "rf-marker-tokens-not-skipped",
+        _DSL,
+        (("_tokenize(text)[3 * marked :]", "_tokenize(text)"),),
+        (_MARKERS, _SNIFFING),
+    ),
+    Mutant(
+        "marker-value-to-first-blank",
+        _DSL,
+        (('value = marker.partition("=")[2].strip()', 'value = marker.partition("=")[2].strip().partition(" ")[0]'),),
+        (_MARKERS,),
     ),
 )
 
