@@ -317,8 +317,6 @@ def _parse_machine(lines: list[tuple[int, str]]) -> Machine:
     header_line, header = lines[0]
     fields = {}
     for token in header.split():
-        if "=" not in token:
-            raise ParseError(f"malformed header field {token!r}", header_line, 1)
         key, _, text = token.partition("=")
         value = parse_natural(text)
         if key not in ("states", "alphabet", "start") or value is None:

@@ -341,7 +341,7 @@ def sweep_leaves(
     not by index; ``classify_all`` writes each leaf at its machines'
     indices.  A budget leaf yields ``BudgetExceeded(steps, None,
     history_capped)``: no reader keeps the last configuration, so the
-    walk asks ``OracleRun`` itself and snapshots only a halt.
+    walk snapshots none for a run that ``advance`` leaves undecided.
 
     The class guard, the budget check and building the root's
     ``OracleRun``, which checks the cap and the input, happen at the
@@ -360,15 +360,12 @@ def sweep_leaves(
         return OracleRun(_machine(mclass, options, decided.items()), input_symbols, history_cap)
 
     def outcome_of(oracle: OracleRun) -> RunOutcome:
-        # run_with_oracle's reading of the run, without its budget snapshot.
+        # run_with_oracle's outcome, except that a budget outcome keeps
+        # only its steps and cap flag (advance gives one only at the cap).
         outcome = oracle.advance(budget)
-        if outcome is None:
-            if oracle.at_halt():
-                return Halted(oracle.steps, oracle.snapshot())
-            return BudgetExceeded(oracle.steps, None)
-        if isinstance(outcome, BudgetExceeded):
-            return BudgetExceeded(outcome.steps, None, outcome.history_capped)
-        return outcome
+        if isinstance(outcome, (Halted, LoopDetected)):
+            return outcome
+        return BudgetExceeded(oracle.steps, None, outcome is not None)
 
     def images(
         decided: dict[int, int], named: int, outcome: RunOutcome
@@ -679,11 +676,11 @@ def falsify_demo(
     Refuses an empty ladder and any negative budget before any work.
     One oracle run serves every rung and the profile: it advances in
     slices through the distinct budgets and the 10 marks that
-    ``cell_growth_profile`` samples over the largest budget.  At a
-    rung the outcome is read as ``run_with_oracle`` reads it at that
-    budget, so each rung's outcome equals that of its own run; a
-    repeated budget shares one outcome.  At a mark the sample is the
-    step and the non-blank cell count, exact also while the run coasts
+    ``cell_growth_profile`` samples over the largest budget.  A rung's
+    outcome is the one ``advance`` decided, else BudgetExceeded there,
+    as ``run_with_oracle`` reads it, so it equals that of the rung's own
+    run; a repeated budget shares one outcome.  At a mark the sample is
+    the step and the non-blank cell count, exact also while the run coasts
     through a proven translated cycle, since ``cell_count`` counts the
     copies that skipped periods lay.  The right-runner never halts or
     repeats, so no mark is cut short.  The recorder is given room for
@@ -703,7 +700,7 @@ def falsify_demo(
     for point in sorted({*budgets, *marks}):
         outcome = oracle.advance(point - oracle.steps)
         if point in budgets:
-            at[point] = outcome or oracle.stopped()
+            at[point] = outcome or BudgetExceeded(oracle.steps, oracle.snapshot())
         if point in marks:
             profile.append((oracle.steps, oracle.cell_count()))
     counts = [cells for _, cells in profile]

@@ -31,10 +31,10 @@ stays separate because it folds each step's cell change into the
 fingerprint and probes the history as it goes; routing it through the
 kernel would cost a call per step on the path that decides every
 verdict.  ``machine.step`` remains the independent reference both
-are tested against.  A run that stops without a decided outcome asks
-``PlainRun.stopped()`` for it, which is how ``run`` and
-``run_with_oracle`` end; ``replay_verify`` judges its claims itself,
-because a capped BudgetExceeded may stop on a halting configuration.
+are tested against.  ``OracleRun.advance`` alone decides an oracle
+run's outcome; a run it leaves undecided is a BudgetExceeded.  ``run``
+and ``replay_verify`` judge their own stops, the latter because a
+capped BudgetExceeded may stop on a halting configuration.
 
 The one verdict this module does not give is "runs forever without
 repeating".  Machines that grow their tape monotonically (the
@@ -189,13 +189,6 @@ class PlainRun:
         scanned = self.tape.get(self.head, BLANK)
         return (self.state * self._m + scanned) not in self._table
 
-    def stopped(self) -> Halted | BudgetExceeded:
-        """The outcome of stopping here: Halted when no rule applies, else
-        BudgetExceeded.  Finding that no rule applies executes nothing."""
-        if self.at_halt():
-            return Halted(self.steps, self.snapshot())
-        return BudgetExceeded(self.steps, self.snapshot())
-
     def execute(self, n: int) -> bool:
         table = self._table
         m = self._m
@@ -222,18 +215,21 @@ class OracleRun(PlainRun):
 
     ``advance(n)`` executes at most n steps and returns the outcome as
     soon as one is decided, else None.  Once decided, the outcome is
-    sticky.  ``history_len`` counts the configurations the history
-    accounts for: s + 1 after s executed steps (the initial
-    configuration is recorded before step 0), less the repeat once a
-    loop is detected.  ``max_history``, None or a natural, caps it (a
-    negative cap raises ValueError), and ``advance`` decides that stop:
-    it runs no further than step ``max_history`` and reports reaching
-    that step as a capped BudgetExceeded, unless the step closed a loop.
-    The cap counts every step, also after a translated cycle is proven
-    and the run stops storing fingerprints.
-    ``translation`` is the proven cycle's witness, (first record step,
-    period, shift), or None.  Steps go through ``advance`` only: the
-    inherited ``execute`` skips the fingerprint.
+    sticky.  A slice that stops on a halting configuration, partway or
+    at its end, returns Halted.  ``history_len`` counts the
+    configurations the history accounts for: s + 1 after s executed
+    steps (the initial configuration is recorded before step 0), less
+    the repeat once a loop is detected.  ``max_history``, None or a
+    natural, caps it (a negative cap raises ValueError), and ``advance``
+    decides that stop: it runs no further than step ``max_history`` and
+    reports reaching that step as a capped BudgetExceeded, unless the
+    step closed a loop.  The cap is decided before a halt, so a run that
+    halts on the capped step ends capped too.  The cap counts every
+    step, also after a translated cycle is proven and the run stops
+    storing fingerprints.  ``translation`` is the proven cycle's
+    witness, (first record step, period, shift), or None.  Steps go
+    through ``advance`` only: the inherited ``execute`` skips the
+    fingerprint.
 
     ``tape`` is the whole tape until the run first skips periods of a
     proven cycle.  From then on it holds the cells before the laid
@@ -361,11 +357,14 @@ class OracleRun(PlainRun):
             self._coast(n)
         if self.outcome is None and cap is not None and self.steps >= cap:
             self.outcome = BudgetExceeded(self.steps, self.snapshot(), history_capped=True)
+        if self.outcome is None and self.at_halt():
+            self.outcome = Halted(self.steps, self.snapshot())
         return self.outcome
 
     def _observe(self, n: int) -> int:
-        """The recording loop: at most n steps, stopping early at an
-        outcome or at a proven translated cycle.  Returns the steps run."""
+        """The recording loop: at most n steps, stopping early at a
+        halting configuration, a detected loop or a proven translated
+        cycle.  Returns the steps run."""
         table = self._table
         tape = self.tape
         hist = self._hist
@@ -382,8 +381,6 @@ class OracleRun(PlainRun):
             scanned = tape.get(head, 0)
             rule = table.get(state * m + scanned)
             if rule is None:
-                self.state, self.head, self.steps = state, head, t
-                self.outcome = Halted(t, self.snapshot())
                 break
             write, move, state = rule
             if write != scanned:
@@ -533,7 +530,8 @@ def run(machine: Machine, input_symbols: Iterable[int] = (), budget: int = 10_00
         raise ValueError("budget must be nonnegative")
     plain = PlainRun(machine, input_symbols)
     plain.execute(budget)
-    return plain.stopped()
+    stop = Halted if plain.at_halt() else BudgetExceeded
+    return stop(plain.steps, plain.snapshot())
 
 
 def run_with_oracle(
@@ -551,7 +549,7 @@ def run_with_oracle(
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     oracle = OracleRun(machine, input_symbols, max_history=max_history)
-    return oracle.advance(budget) or oracle.stopped()
+    return oracle.advance(budget) or BudgetExceeded(oracle.steps, oracle.snapshot())
 
 
 def replay_verify(machine: Machine, input_symbols: Iterable[int], outcome: RunOutcome) -> bool:

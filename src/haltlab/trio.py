@@ -47,8 +47,8 @@ zero, T2's machine may run forever without repeating, and T3's rule set
 is incomplete.  ``reading`` is the one reading of a verdict: its tag
 (one of ``VERDICT_TAGS``), its detail and its extension value — the
 found zero for Found, zero for SelfTerminated and Proved, and an
-explicit Undetermined (not a number) for Exhausted.  ``extend``,
-``TrioRecord.value`` and the fixture reports all read it.
+explicit Undetermined (not a number) for Exhausted.  ``extend`` and
+the fixture reports read it.
 """
 
 from __future__ import annotations
@@ -344,9 +344,8 @@ def extend(task: TrioTask) -> int | Undetermined:
 class TrioRecord:
     """A verdict plus its audit and the runner's counters, for reports.
 
-    ``value`` is the verdict's extension value as ``reading`` gives it,
-    so the two cannot disagree.  ``counters`` holds every ``TrioRun``
-    counter: the units granted to each searcher and what each spent.
+    ``counters`` holds every ``TrioRun`` counter: the units granted to
+    each searcher and what each spent.
     """
 
     label: str
@@ -354,10 +353,6 @@ class TrioRecord:
     audit_passed: bool | None
     rounds_run: int
     counters: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def value(self) -> int | Undetermined:
-        return reading(self.verdict)[2]
 
 
 def _audit_found(task: TrioTask, verdict: Found, fuel: int) -> bool:

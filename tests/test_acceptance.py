@@ -179,10 +179,10 @@ def test_fixture_verdicts_cover_the_trichotomy_and_its_fourth_case():
     for name in ("found_min_zero", "loop_self_termination", "proved_nonzero"):
         assert by_name[name].audit_passed is True, name
 
-    assert by_name["found_min_zero"].value == 3
-    assert by_name["loop_self_termination"].value == 0
-    assert by_name["proved_nonzero"].value == 0
-    assert by_name["exhausted_budget"].value is UNDETERMINED
+    assert reading(by_name["found_min_zero"].verdict)[2] == 3
+    assert reading(by_name["loop_self_termination"].verdict)[2] == 0
+    assert reading(by_name["proved_nonzero"].verdict)[2] == 0
+    assert reading(by_name["exhausted_budget"].verdict)[2] is UNDETERMINED
     print(
         "PASS: fixtures decided found/self_terminated/proved with audits green, "
         "extension values 3/0/0, and the exhaustion fixture stayed undetermined"

@@ -45,7 +45,7 @@ from haltlab.experiments import (
     write_report_csv,
 )
 from haltlab.recfun import MONUS, Compose, Proj, const_expr
-from haltlab.trio import UNDETERMINED
+from haltlab.trio import UNDETERMINED, reading
 from tests.helpers import orbit_key, rowwise_census, rowwise_report_csv, tamper_one_leaf
 
 FIXTURES = "fixtures/trio"
@@ -783,7 +783,7 @@ def test_shipped_suite_is_green_and_byte_stable():
         "proved_nonzero,proved,succ_head,0,true,1,proved,true\n"
     )
     assert "suite: ok" in suite_text(report)
-    values = [record.value for record in report.records]
+    values = [reading(record.verdict)[2] for record in report.records]
     assert values == [UNDETERMINED, 3, 0, 0]
 
 

@@ -1,6 +1,6 @@
 """The mutant registry still points at the code and tests it names.
 
-Running the mutants takes about a minute (``python tools/mutants.py``); this
+Running the mutants takes a few minutes (``python tools/mutants.py``); this
 only checks that each one would apply: every snippet occurs exactly once
 in its file, and every test meant to kill it exists.
 """

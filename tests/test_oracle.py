@@ -122,7 +122,6 @@ def test_both_runs_stop_alike_at_the_edges_of_the_budget():
     for budget, outcome in expected.items():
         assert run(m, tape, budget) == outcome
         assert run_with_oracle(m, tape, budget) == outcome
-    assert PlainRun(m, tape).stopped() == expected[0]
     empty = Machine(1, 2, {})
     assert run(empty, (), 0) == run_with_oracle(empty, (), 0) == Halted(0, initial_id(empty))
 
@@ -176,6 +175,31 @@ def test_outcome_is_sticky_and_stops_the_run():
     assert orun.steps == 2
     assert orun.advance(10) == first
     assert orun.steps == 2
+
+
+def test_a_slice_that_ends_on_a_halting_configuration_returns_halted():
+    """A halt is decided by the slice that reaches it, also when it falls
+    exactly at the slice's end, and the outcome is sticky."""
+    empty = Machine(1, 2, {})
+    orun = OracleRun(empty, ())
+    first = orun.advance(0)
+    assert first == Halted(0, initial_id(empty))
+    assert orun.advance(10) is first and orun.steps == 0
+    # Input pins a 1 at cell 2, so the runner halts after exactly 2 steps.
+    orun = OracleRun(runner(), (0, 0, 1))
+    first = orun.advance(2)
+    assert first == Halted(2, InstantaneousDescription.from_tape(0, 2, {0: 1, 1: 1, 2: 1}))
+    assert orun.advance(10) is first and orun.steps == 2
+
+
+def test_the_cap_is_decided_before_a_halt_on_the_capped_step():
+    last = InstantaneousDescription.from_tape(0, 2, {0: 1, 1: 1, 2: 1})
+    capped = BudgetExceeded(2, last, history_capped=True)
+    orun = OracleRun(runner(), (0, 0, 1), max_history=2)
+    assert orun.advance(10) == capped
+    assert orun.advance(10) is orun.outcome and orun.steps == 2
+    assert run_with_oracle(runner(), (0, 0, 1), 10, max_history=2) == capped
+    assert replay_verify(runner(), (0, 0, 1), capped)
 
 
 def test_history_records_exactly_one_entry_per_configuration():
@@ -687,7 +711,9 @@ def test_sliced_oracle_tracks_the_plain_kernel(data):
             assert halted or plain.at_halt()
             break
         assert not halted
-        if outcome is not None:
+        if outcome is None:
+            assert not plain.at_halt()
+        else:
             # the cap can fall on the step where the machine halts
             ref = run(machine, tape, cap)
             last = ref.final_id if isinstance(ref, Halted) else ref.last_id

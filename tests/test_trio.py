@@ -222,7 +222,7 @@ def test_corpus_entry_records_verdict_audit_and_counters():
     )
     assert record.label == "probe"
     assert record.verdict == Found(k=3, steps=100)
-    assert record.value == 3
+    assert reading(record.verdict)[2] == 3
     assert record.audit_passed is True
     assert record.rounds_run == 1
     # T1 resolved in round one, so the proof searcher was never polled
@@ -248,7 +248,7 @@ def test_corpus_entry_records_verdict_audit_and_counters():
         make_task(OPAQUE_ONE, right_runner(), quantum=5, budget=5), label="e"
     )
     assert exhausted.audit_passed is None
-    assert exhausted.value is UNDETERMINED
+    assert reading(exhausted.verdict)[2] is UNDETERMINED
 
 
 def test_found_audit_rejects_a_non_minimal_witness():
@@ -262,7 +262,7 @@ def test_found_audit_rejects_a_non_minimal_witness():
 def test_reading_covers_every_verdict_and_extend_is_the_record_value():
     """The shipped fixtures give one verdict of each kind: ``reading``
     tags them in ``TrioVerdict``'s order, and ``extend`` gives each
-    task's record value."""
+    task the value ``reading`` gives its record's verdict."""
     names = ("found_min_zero", "loop_self_termination", "proved_nonzero", "exhausted_budget")
     tasks = [load_fixture(f"fixtures/trio/{name}.task").task for name in names]
     records = [classify_corpus_entry(task) for task in tasks]
@@ -270,7 +270,7 @@ def test_reading_covers_every_verdict_and_extend_is_the_record_value():
     assert tuple(type(verdict) for verdict in verdicts) == typing.get_args(TrioVerdict)
     assert tuple(reading(verdict)[0] for verdict in verdicts) == VERDICT_TAGS
     values = [extend(task) for task in tasks]
-    assert values == [record.value for record in records] == [3, 0, 0, UNDETERMINED]
+    assert values == [reading(record.verdict)[2] for record in records] == [3, 0, 0, UNDETERMINED]
 
 
 def test_agreement_with_a_directly_computed_ground_truth():

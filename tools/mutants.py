@@ -61,10 +61,29 @@ _SKIPPED = "tests/test_oracle.py::test_translated_cyclers_are_proven_and_skipped
 _ALIGNED = "tests/test_oracle.py::test_slices_that_end_on_an_aligned_step_resume_exactly"
 _FULL_DEPTH = "tests/test_oracle.py::test_records_prove_a_cycle_only_over_their_full_depth"
 _SMALL_CLASSES = "tests/test_oracle.py::test_the_oracle_agrees_with_the_plain_kernel_over_small_classes"
+_CAP_FIRST = "tests/test_oracle.py::test_the_cap_is_decided_before_a_halt_on_the_capped_step"
+_CAP_ZERO = "tests/test_oracle.py::test_history_cap_zero_stops_before_the_first_step"
+_CLOSED_FORM = "tests/test_oracle.py::test_right_runner_coasts_to_its_closed_form"
+_CANONICAL = "tests/test_oracle.py::test_plain_snapshot_is_the_canonical_description"
 _RECFUN = "src/haltlab/recfun.py"
 _AT_EVERY_FUEL = "tests/test_recfun.py::test_projection_step_recursion_matches_the_reference_at_every_fuel"
 _NO_LOOP = "tests/test_recfun.py::test_a_projection_step_recursion_costs_no_loop"
+_FROZEN = "tests/test_recfun.py::test_frozen_arithmetic_values_on_both_evaluators"
+_FALSIFY_RUNS = "tests/test_experiments.py::test_falsify_demo_matches_a_run_per_rung_and_the_plain_profile"
+_FALSIFY_SMALL = "tests/test_experiments.py::test_falsify_demo_small_ladder"
+_FALSIFY_REFUSES = "tests/test_experiments.py::test_falsify_demo_refuses_a_bad_ladder_before_any_work"
+_CSV_RUNS = "tests/test_experiments.py::test_the_csv_runs_break_at_each_new_outcome_object_or_flag"
+_CSV_ROWWISE = "tests/test_experiments.py::test_the_csv_written_by_runs_matches_the_rowwise_writer"
+_CSV_COVER = "tests/test_experiments.py::test_csv_refuses_columns_that_do_not_cover_the_class"
+_BUDGET_ROWS = "tests/test_experiments.py::test_sweep_budget_rows_keep_the_step_count_not_the_configuration"
+_TRIO = "src/haltlab/trio.py"
+_SKIP_CORPUS = "tests/test_trio.py::test_skipping_matches_the_round_by_round_run_on_the_benchmark_corpus"
+_SKIP_RANDOM = "tests/test_trio.py::test_skipping_matches_the_round_by_round_run_on_random_tasks"
+_CAPPED_CYCLE = "tests/test_trio.py::test_a_proven_cycle_is_tallied_up_to_its_history_cap"
+_PENDING = "tests/test_trio.py::test_lookahead_when_t2_or_t3_wins_with_a_result_pending"
 _DSL = "src/haltlab/dsl.py"
+_EMPTY_ITEMS = "tests/test_cli.py::test_comma_lists_refuse_empty_items"
+_FIXTURE_ARGS = "tests/test_experiments.py::test_fixture_args_must_be_naturals"
 _MARKERS = "tests/test_experiments.py::test_every_format_reads_its_version_marker_as_a_natural"
 _SNIFFING = "tests/test_dsl.py::test_sniffing_agrees_with_the_suffix_on_every_shipped_and_generated_file"
 
@@ -107,6 +126,38 @@ MUTANTS = (
         ),
         (_ONE_STATE, _PINNED),
     ),
+    # The leaf audit's digit check (classify_all).
+    Mutant(
+        "audit-digits-reversed",
+        _EXPERIMENTS,
+        (("digits = [(radix ** (slots - 1 - k), d)", "digits = [(radix ** k, d)"),),
+        (_SWEEP, _PINNED),
+    ),
+    # The CSV writer's runs and its column check (write_report_csv).
+    Mutant(
+        "csv-column-check-dropped",
+        _EXPERIMENTS,
+        (("if len(set(lengths)) > 1:", "if False:"),),
+        (_CSV_COVER,),
+    ),
+    Mutant(
+        "csv-run-ignores-block-end",
+        _EXPERIMENTS,
+        (("upto = min(stop, end, start + limit)", "upto = min(stop, start + limit)"),),
+        (_CSV_RUNS, _CSV_ROWWISE),
+    ),
+    Mutant(
+        "csv-run-ignores-flag",
+        _EXPERIMENTS,
+        (("map(is_not, audits, islice(audits, 1, None)),", "map(is_not, outcomes, islice(outcomes, 1, None)),"),),
+        (_CSV_RUNS,),
+    ),
+    Mutant(
+        "csv-long-runs-not-split",
+        _EXPERIMENTS,
+        (("upto = min(stop, end, start + limit)", "upto = min(stop, end)"),),
+        (_CSV_RUNS,),
+    ),
     # The canonical walk and its images (sweep_leaves).
     Mutant(
         "walk-no-fresh-state",
@@ -119,6 +170,18 @@ MUTANTS = (
         _EXPERIMENTS,
         (("if nxt <= named and not (mirrors and not decided and pair & 1):", "if nxt <= named:"),),
         (_SWEEP, _PINNED),
+    ),
+    Mutant(
+        "walk-reruns-absent-child",
+        _EXPERIMENTS,
+        (("for d in range(radix - 1, 0, -1):", "for d in range(radix - 1, -1, -1):"),),
+        (_SWEEP, _PINNED),
+    ),
+    Mutant(
+        "walk-mirrors-any-input",
+        _EXPERIMENTS,
+        (("mirrors = not any(input_symbols[1:])", "mirrors = True"),),
+        (_SWEEP, _OWN_TABLE),
     ),
     Mutant(
         "images-never-mirror",
@@ -138,7 +201,103 @@ MUTANTS = (
         (("_moved(outcome, label, flip)", "outcome"),),
         (_SWEEP, _OWN_TABLE),
     ),
+    Mutant(
+        "moved-tape-not-negated",
+        _EXPERIMENTS,
+        (
+            (
+                "head, tape = -head, tuple((-cell, symbol) for cell, symbol in reversed(tape))",
+                "head = -head",
+            ),
+        ),
+        (_OWN_TABLE, _BUDGET_ROWS),
+    ),
+    # The falsify ladder (falsify_demo).
+    Mutant(
+        "falsify-negative-budget-accepted",
+        _EXPERIMENTS,
+        (
+            (
+                '    if min(budgets) < 0:\n        raise ValueError("budget must be nonnegative")\n    marks',
+                "    marks",
+            ),
+        ),
+        (_FALSIFY_REFUSES,),
+    ),
+    Mutant(
+        "falsify-rungs-sorted",
+        _EXPERIMENTS,
+        (("[at[b] for b in budgets]", "[at[b] for b in sorted(budgets)]"),),
+        (_FALSIFY_RUNS,),
+    ),
+    Mutant(
+        "falsify-live-cell-count",
+        _EXPERIMENTS,
+        (("profile.append((oracle.steps, oracle.cell_count()))", "profile.append((oracle.steps, len(oracle.tape)))"),),
+        (_FALSIFY_RUNS, _FALSIFY_SMALL),
+    ),
+    # Deciding an oracle run's outcome (OracleRun.advance).
+    Mutant(
+        "advance-halt-before-cap",
+        _ORACLE,
+        (
+            (
+                "        if self.outcome is None and cap is not None and self.steps >= cap:\n"
+                "            self.outcome = BudgetExceeded(self.steps, self.snapshot(), history_capped=True)\n"
+                "        if self.outcome is None and self.at_halt():\n"
+                "            self.outcome = Halted(self.steps, self.snapshot())\n",
+                "        if self.outcome is None and self.at_halt():\n"
+                "            self.outcome = Halted(self.steps, self.snapshot())\n"
+                "        if self.outcome is None and cap is not None and self.steps >= cap:\n"
+                "            self.outcome = BudgetExceeded(self.steps, self.snapshot(), history_capped=True)\n",
+            ),
+        ),
+        (_CAP_FIRST, _CAP_ZERO),
+    ),
+    # The plain kernel (PlainRun.execute) never stores a blank.
+    Mutant(
+        "kernel-keeps-blanks",
+        _ORACLE,
+        (
+            (
+                "            if write:\n                tape[head] = write\n            else:\n"
+                "                tape.pop(head, None)\n",
+                "            tape[head] = write\n",
+            ),
+        ),
+        (_CANONICAL, _SMALL_CLASSES),
+    ),
+    # Skipping whole periods of a proven cycle (OracleRun._jump, cell_count).
+    Mutant(
+        "jump-fold-dropped",
+        _ORACLE,
+        (("self._laid[1] = copies + gap // width + k", "self._laid[1] = copies + k"),),
+        (_SKIPPED, _ALIGNED),
+    ),
+    Mutant(
+        "cell-count-region-dropped",
+        _ORACLE,
+        (
+            (
+                "return len(self.tape) + copies * (len(block) - block.count(BLANK))",
+                "return len(self.tape)",
+            ),
+        ),
+        (_CLOSED_FORM, _SKIPPED),
+    ),
     # The coasting snapshot (OracleRun.snapshot).
+    Mutant(
+        "snapshot-region-appended",
+        _ORACLE,
+        (("at = bisect_left(pairs, (low,))", "at = len(pairs)"),),
+        (_SKIPPED, _ALIGNED),
+    ),
+    Mutant(
+        "snapshot-runs-concatenated",
+        _ORACLE,
+        (("list(chain.from_iterable(zip(*runs)))", "list(chain.from_iterable(runs))"),),
+        (_SKIPPED, _ALIGNED),
+    ),
     Mutant(
         "snapshot-left-no-reverse",
         _ORACLE,
@@ -176,6 +335,61 @@ MUTANTS = (
         _RECFUN,
         (("if remaining < y:", "if remaining < y - 1:"),),
         (_AT_EVERY_FUEL, _NO_LOOP),
+    ),
+    Mutant(
+        "primrec-proj-step-unit-short",
+        _RECFUN,
+        (("                remaining -= y\n", "                remaining -= y - 1\n"),),
+        (_AT_EVERY_FUEL, _NO_LOOP),
+    ),
+    Mutant(
+        "primrec-proj-level-y",
+        _RECFUN,
+        (("return y - 1 if i == len(front) else acc", "return y if i == len(front) else acc"),),
+        (_AT_EVERY_FUEL, _NO_LOOP),
+    ),
+    Mutant(
+        "primrec-proj-zero-case-dropped",
+        _RECFUN,
+        (("                if y == 0:\n                    return acc\n", ""),),
+        (_AT_EVERY_FUEL, _FROZEN),
+    ),
+    # Lost trio searchers and idle rounds (TrioRun.t2_steps, _grant_idle_rounds).
+    Mutant(
+        "trio-cap-clip-dropped",
+        _TRIO,
+        (("return self.t2_granted if cap is None else min(self.t2_granted, cap)", "return self.t2_granted"),),
+        (_CAPPED_CYCLE, _SKIP_CORPUS),
+    ),
+    Mutant(
+        "trio-pending-bar-one-high",
+        _TRIO,
+        (("else pending[1] - 1", "else pending[1]"),),
+        (_PENDING, _SKIP_CORPUS),
+    ),
+    Mutant(
+        "trio-skip-rounded-up",
+        _TRIO,
+        (("(bar - available) // quantum)", "-((available - bar) // quantum))"),),
+        (_CAPPED_CYCLE, _SKIP_RANDOM),
+    ),
+    Mutant(
+        "trio-skip-t3-not-granted",
+        _TRIO,
+        (("            self.t3_granted += units\n", ""),),
+        (_CAPPED_CYCLE, _SKIP_RANDOM),
+    ),
+    # Comma lists (dsl.parse_naturals).
+    Mutant(
+        "naturals-empty-items-dropped",
+        _DSL,
+        (
+            (
+                'items = [item.strip() for item in text.split(",")] if text.strip() else []',
+                'items = [item.strip() for item in text.split(",") if item.strip()]',
+            ),
+        ),
+        (_EMPTY_ITEMS, _FIXTURE_ARGS),
     ),
     # The version marker (dsl.significant_lines and the function grammar).
     Mutant(
