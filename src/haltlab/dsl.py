@@ -26,8 +26,9 @@ Both formats, and the trio's ``.task`` descriptors, open through
 non-blank line of the file, comments aside, and its value is the rest
 of that line, read as a natural (``parse_natural``) that must equal
 ``FORMAT_VERSION``.  All three refuse another value ``v``, the empty
-one included, as "unsupported format version 'v'".  Lines end where
-``str.splitlines`` ends them, in both grammars.
+one included, as "unsupported format version 'v'".  Both grammars read
+the same lines: they end where ``str.splitlines`` ends them and are cut
+at ``#``.  The function grammar tokenizes the lines past the marker's.
 
 A name is inlined by reference, so a definition used twice is one
 shared subterm, not two copies.  ``arity``, the evaluators' compiler
@@ -132,27 +133,34 @@ class Program:
     machines: dict[str, Machine] = field(default_factory=dict)
 
 
-def significant_lines(text: str) -> tuple[list[tuple[int, str]], bool]:
-    """The numbered lines of a text past its version marker, and whether
-    it had one; lines are cut at ``#`` and stripped, and blank ones dropped.
+def _cut_lines(text: str) -> list[tuple[int, str]]:
+    """The numbered lines of a text, ended where ``str.splitlines`` ends
+    them and cut at ``#``.  The last is the line the text stops on, an
+    empty one after a final line break."""
+    # The "#" appended opens a comment on the last line, or is the line
+    # that follows a final line break.
+    raws = (text + "#").splitlines()
+    return [(number, raw.partition("#")[0]) for number, raw in enumerate(raws, start=1)]
+
+
+def significant_lines(text: str) -> tuple[list[tuple[int, str]], int]:
+    """The numbered lines of a text past its version marker, and the
+    marker's line number, 0 when it has none; lines are cut at ``#`` and
+    stripped, and blank ones dropped.
 
     The first of them is the marker when its text before any ``=`` is
     the word ``format``.  The rest of that line must then be a natural
     equal to ``FORMAT_VERSION``; any other value ``v`` raises ParseError
     "unsupported format version 'v'".
     """
-    lines = []
-    for number, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((number, stripped))
+    lines = [(number, stripped) for number, cut in _cut_lines(text) if (stripped := cut.strip())]
     if not lines or lines[0][1].partition("=")[0].strip() != "format":
-        return lines, False
+        return lines, 0
     number, marker = lines[0]
     value = marker.partition("=")[2].strip()
     if parse_natural(value) != FORMAT_VERSION:
         raise ParseError(f"unsupported format version {value!r}", number, 1)
-    return lines[1:], True
+    return lines[1:], number
 
 
 # --- tokenizing the function grammar ---------------------------------------
@@ -165,35 +173,29 @@ class _Token(NamedTuple):
     col: int
 
 
-# The line breaks of ``str.splitlines``, so that tokens and
-# ``significant_lines`` agree on where each line and comment ends.
-_BREAK = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # Blanks, then one alternative per token kind, tried in order.  ``\w``
 # is ``str.isalnum()`` plus ``_``, so a word starting with a character
 # that is not a letter or ``_`` (a digit such as ``²``) is refused below.
-# ``other`` takes no blank, so blanks at the end of the text match nothing.
-_TOKEN = re.compile(
-    rf"[ \t]*(?:(?P<newline>\r\n|[{_BREAK}])|(?P<comment>#[^{_BREAK}]*)|(?P<punct>[()=])"
-    rf"|(?P<int>[0-9]+)|(?P<word>\w+)|(?P<other>[^ \t{_BREAK}]))"
-)
+# ``other`` takes no blank, so blanks at the end of a line match nothing.
+_TOKEN = re.compile(r"[ \t]*(?:(?P<punct>[()=])|(?P<int>[0-9]+)|(?P<word>\w+)|(?P<other>[^ \t]))")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    """Every character is one column, a tab too."""
+def _tokenize(text: str, marker: int) -> list[_Token]:
+    """The tokens of the lines after line ``marker``, as ``_cut_lines``
+    cuts them.  A column counts from the start of its line, and every
+    character is one column, a tab too.  The end token sits where the
+    text's last line stops."""
+    lines = _cut_lines(text)
     tokens = []
-    line, line_start = 1, 0
-    for match in _TOKEN.finditer(text):
-        kind = match.lastgroup
-        if kind == "newline":
-            line, line_start = line + 1, match.end()
-        elif kind != "comment":
-            token, col = match[kind], match.start(kind) - line_start + 1
+    for number, line in lines[marker:]:
+        for match in _TOKEN.finditer(line):
+            kind = match.lastgroup
+            token, col = match[kind], match.start(kind) + 1
             if kind == "other" or (kind == "word" and not (token[0].isalpha() or token[0] == "_")):
-                raise ParseError(f"unexpected character {token[0]!r}", line, col)
-            tokens.append(_Token(kind, token, line, col))
-    # The end sits where the last line's text stops, before any comment.
-    tail = text[line_start:].partition("#")[0]
-    tokens.append(_Token("end", "", line, len(tail) + 1))
+                raise ParseError(f"unexpected character {token[0]!r}", number, col)
+            tokens.append(_Token(kind, token, number, col))
+    number, last = lines[-1]
+    tokens.append(_Token("end", "", number, len(last) + 1))
     return tokens
 
 
@@ -376,11 +378,10 @@ def _parse(text: str, suffix: str) -> Program:
     """``.tm`` forces the machine grammar and ``.rf`` the function
     grammar; any other suffix, ``parse_program``'s empty one included,
     picks machines when the first line past the marker is a header."""
-    lines, marked = significant_lines(text)
+    lines, marker = significant_lines(text)
     if suffix == ".tm" or (suffix != ".rf" and lines and lines[0][1].startswith("states=")):
         return Program(machines={MAIN_MACHINE: _parse_machine(lines)})
-    # An accepted marker is three tokens: ``format``, ``=`` and a natural.
-    return Program(functions=_parse_functions(_tokenize(text)[3 * marked :]))
+    return Program(functions=_parse_functions(_tokenize(text, marker)))
 
 
 def format_term(expr: RecExpr) -> str:

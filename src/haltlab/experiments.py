@@ -746,6 +746,10 @@ class TrioFixture:
     expect: str | None
 
 
+_REQUIRED_TASK_KEYS = frozenset({"g", "entry", "machine", "quantum", "budget", "max_cert_size"})
+_OPTIONAL_TASK_KEYS = frozenset({"args", "expect", "history_cap"})
+
+
 def load_fixture(path: str | Path) -> TrioFixture:
     """Read one ``.task`` descriptor and the files it references.
 
@@ -779,14 +783,10 @@ def load_fixture(path: str | Path) -> TrioFixture:
         if key in pairs:
             raise FixtureError(f"{p}: line {number}: duplicate key {key!r}")
         pairs[key] = value
-    missing = {"g", "entry", "machine", "quantum", "budget", "max_cert_size"} - pairs.keys()
+    missing = _REQUIRED_TASK_KEYS - pairs.keys()
     if missing:
         raise FixtureError(f"{p}: missing keys {sorted(missing)}")
-    known = {
-        "g", "entry", "machine", "quantum", "budget",
-        "max_cert_size", "args", "expect", "history_cap",
-    }
-    unknown = pairs.keys() - known
+    unknown = pairs.keys() - _REQUIRED_TASK_KEYS - _OPTIONAL_TASK_KEYS
     if unknown:
         raise FixtureError(f"{p}: unknown keys {sorted(unknown)}")
 

@@ -216,20 +216,16 @@ class OracleRun(PlainRun):
     ``advance(n)`` executes at most n steps and returns the outcome as
     soon as one is decided, else None.  Once decided, the outcome is
     sticky.  A slice that stops on a halting configuration, partway or
-    at its end, returns Halted.  ``history_len`` counts the
-    configurations the history accounts for: s + 1 after s executed
-    steps (the initial configuration is recorded before step 0), less
-    the repeat once a loop is detected.  ``max_history``, None or a
-    natural, caps it (a negative cap raises ValueError), and ``advance``
-    decides that stop: it runs no further than step ``max_history`` and
-    reports reaching that step as a capped BudgetExceeded, unless the
-    step closed a loop.  The cap is decided before a halt, so a run that
-    halts on the capped step ends capped too.  The cap counts every
-    step, also after a translated cycle is proven and the run stops
-    storing fingerprints.  ``translation`` is the proven cycle's
-    witness, (first record step, period, shift), or None.  Steps go
-    through ``advance`` only: the inherited ``execute`` skips the
-    fingerprint.
+    at its end, returns Halted.  ``max_history`` is None or a natural
+    (a negative cap raises ValueError).  ``advance`` runs no further
+    than step ``max_history`` and reports reaching that step as a capped
+    BudgetExceeded, unless the step closed a loop.  The cap is decided
+    before a halt, so a run that halts on the capped step ends capped
+    too.  The cap counts every step, also after a translated cycle is
+    proven and the run stops storing fingerprints.  ``translation`` is
+    the proven cycle's witness, (first record step, period, shift), or
+    None.  Steps go through ``advance`` only: the inherited ``execute``
+    skips the fingerprint.
 
     ``tape`` is the whole tape until the run first skips periods of a
     proven cycle.  From then on it holds the cells before the laid
@@ -288,11 +284,6 @@ class OracleRun(PlainRun):
         self._laid: list | None = None
         # (copies, tape, at, n) of the last coasting snapshot, see snapshot
         self._shown: tuple = (0, (), 0, 0)
-
-    @property
-    def history_len(self) -> int:
-        """Configurations the history accounts for; see the class docstring."""
-        return self.steps + (not isinstance(self.outcome, LoopDetected))
 
     def snapshot(self) -> InstantaneousDescription:
         pairs = sorted(self.tape.items())

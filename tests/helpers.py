@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from haltlab import experiments
 from haltlab.machine import LEFT, RIGHT, Machine
-from haltlab.oracle import Halted, LoopDetected
+from haltlab.oracle import Halted, LoopDetected, OracleRun
 from haltlab.recfun import (
     Compose,
     FuelExhausted,
@@ -138,6 +138,13 @@ def machines(draw, max_states: int = 3, max_symbols: int = 3):
                 nxt = draw(st.integers(0, n - 1))
                 table[(state, symbol)] = (write, move, nxt)
     return Machine(n, m, table)
+
+
+def history_len(orun: OracleRun) -> int:
+    """The configurations an oracle run's history accounts for: s + 1
+    after s executed steps (the initial configuration is recorded before
+    step 0), less the repeat once a loop is detected."""
+    return orun.steps + (not isinstance(orun.outcome, LoopDetected))
 
 
 class NotBooleanError(ValueError):

@@ -120,6 +120,17 @@ def test_diagnostics_carry_line_and_column():
         parse_program("def a = zero\ndef b = ~\n")
     assert err.value.line == 2
     assert err.value.col == 9
+    # Each column counts from the start of its own line, a tab as one.
+    for text, line, col, reason in [
+        ("def g = proj x 1", 1, 14, "expected a projection index"),
+        ("def g = proj 1 x", 1, 16, "expected a projection width"),
+        ("def 1 = zero", 1, 5, "expected a definition name"),
+        ("def\n(g) = zero", 2, 1, "expected a definition name"),
+        ("format=1\r\ndef a = zero\r\n\tdef b = proj 1 x", 3, 17, "expected a projection width"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        assert (err.value.line, err.value.col, err.value.reason) == (line, col, reason), text
 
 
 def test_term_nesting_is_bounded_with_a_located_diagnostic():
@@ -282,6 +293,8 @@ def test_shared_definitions_cost_their_distinct_nodes():
             "states=2 alphabet=2 start=0\n0 0 -> 1 R 1\n\n# past the header\n1 0 -> 0 L 2\n",
             r"line 5, column 1: transition \(1, 0\): next state 2 out of range",
         ),
+        ("m.tm", "", "line 1, column 1: missing machine header"),
+        ("m.tm", "# only a comment\n", "line 1, column 1: missing machine header"),
     ],
 )
 def test_function_and_machine_file_diagnostics(tmp_path, name, text, reason):
@@ -328,7 +341,7 @@ def test_sniffing_agrees_with_the_suffix_on_every_shipped_and_generated_file(tmp
 
 def test_function_lines_and_comments_end_at_every_line_break_of_splitlines():
     # A comment stops at a lone CR, so the marker behind it is read, and
-    # its three tokens skipped, by lines and tokens alike.
+    # its line skipped by the function grammar's tokens.
     text = "# note\rformat=1\rdef g = zero\fdef h = succ # c\u2028def k = g\r\n"
     assert parse_program(text) == Program(functions={"g": Zero(), "h": Succ(), "k": Zero()})
     with pytest.raises(ParseError, match="line 3, column 9: expected a term"):

@@ -676,6 +676,8 @@ _FOUND_MIN_ZERO = [
         (None, "not valid UTF-8"),
         # The marker is read on the first significant line only.
         (_FOUND_MIN_ZERO[1:] + ["format=1"], r"unknown keys \['format'\]"),
+        ("missing", "No such file or directory"),
+        ("directory", "Is a directory"),
     ],
 )
 def test_fixture_descriptor_diagnostics(tmp_path, lines, reason):
@@ -685,7 +687,9 @@ def test_fixture_descriptor_diagnostics(tmp_path, lines, reason):
     task = tmp_path / "case.task"
     if lines is None:
         task.write_bytes(b"g=find_zero.rf\nentry=\xff\n")
-    else:
+    elif lines == "directory":
+        task.mkdir()
+    elif lines != "missing":
         task.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(FixtureError, match=reason) as err:
         load_fixture(task)
@@ -693,7 +697,8 @@ def test_fixture_descriptor_diagnostics(tmp_path, lines, reason):
 
 
 @pytest.mark.parametrize(
-    "marker, accepted", [("1", True), ("01", True), ("2", False), ("x", False), ("", False), ("1 2", False)]
+    "marker, accepted",
+    [("1", True), ("01", True), ("2", False), ("x", False), ("", False), ("1 2", False), ("1\u00a0", True)],
 )
 @pytest.mark.parametrize("suffix", [".rf", ".tm", ".task"])
 def test_every_format_reads_its_version_marker_as_a_natural(tmp_path, suffix, marker, accepted):

@@ -20,7 +20,7 @@ from haltlab.oracle import (
     run,
     run_with_oracle,
 )
-from tests.helpers import gen_machine, machines
+from tests.helpers import gen_machine, history_len, machines
 
 
 def ping_pong() -> Machine:
@@ -137,7 +137,7 @@ def test_history_cap_zero_stops_before_the_first_step():
     assert run_with_oracle(m, (), 10, max_history=0) == BudgetExceeded(0, initial_id(m), history_capped=True)
     orun = OracleRun(Machine(1, 2, {}), (), max_history=0)
     assert orun.advance(0) == BudgetExceeded(0, initial_id(Machine(1, 2, {})), history_capped=True)
-    assert orun.history_len == 1
+    assert history_len(orun) == 1
 
 
 def test_the_capped_step_proves_no_cycle():
@@ -204,9 +204,9 @@ def test_the_cap_is_decided_before_a_halt_on_the_capped_step():
 
 def test_history_records_exactly_one_entry_per_configuration():
     orun = OracleRun(runner(), ())
-    assert orun.history_len == 1
+    assert history_len(orun) == 1
     assert orun.advance(50) is None
-    assert orun.history_len == 51
+    assert history_len(orun) == 51
 
 
 def test_replay_accepts_true_outcomes():
@@ -405,7 +405,7 @@ def test_right_runner_coasts_to_its_closed_form():
     orun = OracleRun(runner(), ())
     assert orun.advance(10**6) is None
     assert orun.translation == (1, 1, 1)
-    assert (orun.state, orun.head, orun.steps, orun.history_len) == (0, 10**6, 10**6, 10**6 + 1)
+    assert (orun.state, orun.head, orun.steps, history_len(orun)) == (0, 10**6, 10**6, 10**6 + 1)
     closed = InstantaneousDescription(0, 10**6, tuple([(cell, 1) for cell in range(10**6)]))
     assert orun.snapshot() == closed and orun.cell_count() == 10**6
     # Coasting records nothing: the proof dropped the fingerprint table,
@@ -472,7 +472,7 @@ def test_translated_cyclers_are_proven_and_skipped_exactly(machine, witness):
     # worth since the jump are all the live tape holds.
     first, period, _ = witness
     assert len(orun.tape) <= first + 2 * period
-    assert orun.history_len == 20_001
+    assert history_len(orun) == 20_001
     assert run_with_oracle(machine, (), budget=20_000) == run(machine, (), budget=20_000)
 
 
@@ -704,9 +704,9 @@ def test_sliced_oracle_tracks_the_plain_kernel(data):
         assert orun.snapshot() == plain.snapshot()
         assert orun.cell_count() == plain.cell_count()
         if isinstance(outcome, LoopDetected):
-            assert orun.history_len == orun.steps
+            assert history_len(orun) == orun.steps
             break
-        assert orun.history_len == orun.steps + 1
+        assert history_len(orun) == orun.steps + 1
         if isinstance(outcome, Halted):
             assert halted or plain.at_halt()
             break

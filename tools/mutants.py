@@ -86,6 +86,7 @@ _EMPTY_ITEMS = "tests/test_cli.py::test_comma_lists_refuse_empty_items"
 _FIXTURE_ARGS = "tests/test_experiments.py::test_fixture_args_must_be_naturals"
 _MARKERS = "tests/test_experiments.py::test_every_format_reads_its_version_marker_as_a_natural"
 _SNIFFING = "tests/test_dsl.py::test_sniffing_agrees_with_the_suffix_on_every_shipped_and_generated_file"
+_LINE_AND_COLUMN = "tests/test_dsl.py::test_diagnostics_carry_line_and_column"
 
 MUTANTS = (
     # The strided fill of a leaf's rows (classify_all).
@@ -391,12 +392,19 @@ MUTANTS = (
         ),
         (_EMPTY_ITEMS, _FIXTURE_ARGS),
     ),
-    # The version marker (dsl.significant_lines and the function grammar).
+    # The lines both grammars read (dsl._cut_lines), the version marker
+    # (dsl.significant_lines) and the function grammar's tokens.
     Mutant(
-        "rf-marker-tokens-not-skipped",
+        "rf-marker-line-not-skipped",
         _DSL,
-        (("_tokenize(text)[3 * marked :]", "_tokenize(text)"),),
+        (("for number, line in lines[marker:]:", "for number, line in lines:"),),
         (_MARKERS, _SNIFFING),
+    ),
+    Mutant(
+        "rf-end-ignores-final-break",
+        _DSL,
+        (('(text + "#").splitlines()', '(text or "#").splitlines()'),),
+        (_LINE_AND_COLUMN,),
     ),
     Mutant(
         "marker-value-to-first-blank",
