@@ -153,7 +153,12 @@ def significant_lines(text: str) -> tuple[list[tuple[int, str]], int]:
     equal to ``FORMAT_VERSION``; any other value ``v`` raises ParseError
     "unsupported format version 'v'".
     """
-    lines = [(number, stripped) for number, cut in _cut_lines(text) if (stripped := cut.strip())]
+    return _past_marker(_cut_lines(text))
+
+
+def _past_marker(cut: list[tuple[int, str]]) -> tuple[list[tuple[int, str]], int]:
+    """``significant_lines`` of the lines ``_cut_lines`` cut from a text."""
+    lines = [(number, stripped) for number, line in cut if (stripped := line.strip())]
     if not lines or lines[0][1].partition("=")[0].strip() != "format":
         return lines, 0
     number, marker = lines[0]
@@ -180,12 +185,11 @@ class _Token(NamedTuple):
 _TOKEN = re.compile(r"[ \t]*(?:(?P<punct>[()=])|(?P<int>[0-9]+)|(?P<word>\w+)|(?P<other>[^ \t]))")
 
 
-def _tokenize(text: str, marker: int) -> list[_Token]:
-    """The tokens of the lines after line ``marker``, as ``_cut_lines``
-    cuts them.  A column counts from the start of its line, and every
+def _tokenize(lines: list[tuple[int, str]], marker: int) -> list[_Token]:
+    """The tokens of the lines ``_cut_lines`` cut from a text, after line
+    ``marker``.  A column counts from the start of its line, and every
     character is one column, a tab too.  The end token sits where the
     text's last line stops."""
-    lines = _cut_lines(text)
     tokens = []
     for number, line in lines[marker:]:
         for match in _TOKEN.finditer(line):
@@ -378,10 +382,14 @@ def _parse(text: str, suffix: str) -> Program:
     """``.tm`` forces the machine grammar and ``.rf`` the function
     grammar; any other suffix, ``parse_program``'s empty one included,
     picks machines when the first line past the marker is a header."""
-    lines, marker = significant_lines(text)
+    cut = _cut_lines(text)
+    lines, marker = _past_marker(cut)
     if suffix == ".tm" or (suffix != ".rf" and lines and lines[0][1].startswith("states=")):
         return Program(machines={MAIN_MACHINE: _parse_machine(lines)})
-    return Program(functions=_parse_functions(_tokenize(text, marker)))
+    tokens = _tokenize(cut, marker)
+    # Only the tokens stay alive while the terms are built.
+    del cut, lines
+    return Program(functions=_parse_functions(tokens))
 
 
 def format_term(expr: RecExpr) -> str:

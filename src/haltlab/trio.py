@@ -35,9 +35,11 @@ largest fuel known to be too little, across rounds instead of starting
 an unfinished candidate again from scratch.  It still commits a result
 in exactly the round where the fuel granted so far covers its cost,
 so verdicts and counters are those of a search that only ever spends
-its grant.  Failed attempts on one candidate at least double their
-fuel and never exceed what T1 can still be granted, so the fuel T1
-evaluates (``t1_evaluated``) stays within four times ``t1_granted``.
+its grant.  A new candidate's first try is offered twice the cost of
+the one before, which usually covers it, and failed tries on one
+candidate at least double their fuel.  No try exceeds what T1 can
+still be granted, nor the slack that keeps the fuel T1 evaluates
+(``t1_evaluated``) within four times ``t1_granted``.
 
 The verdict is fourfold.  Found, SelfTerminated and Proved mirror the
 three ways a searcher can win; Exhausted reports that the round budget
@@ -166,6 +168,18 @@ class TrioRun:
     consumed, lookahead and unfinished attempts included.  ``COUNTERS``
     names all seven.
 
+    T1 offers a try ``min(reach, slack, max(available, 2 * short,
+    2 * last))`` fuel: ``reach`` is the most it can still be granted,
+    ``slack`` is ``4 * t1_granted - t1_evaluated``, ``short`` the largest
+    fuel known too little for the current candidate and ``last`` the
+    cost of the candidate before.  So ``t1_evaluated <= 4 * t1_granted``,
+    and the slack never cuts below ``max(available, 2 * short)``: by
+    induction, with nothing pending, failed fuel is at most ``2 *
+    t1_spent + 2 * short`` (a candidate's failures double, so they sum
+    to under twice the last, which is under its cost), and T1 tries only
+    while ``short < available``, when the slack exceeds ``t1_spent + 2 *
+    available``.  A failed try cut by ``reach`` is T1's last.
+
     A lost searcher is no longer stepped; its counters read as if it
     were, and rounds in which no searcher can act are granted in one
     step.  Every counter, ``rounds_run`` and the verdict are those of a
@@ -185,8 +199,10 @@ class TrioRun:
         self._t1_g = CompiledTerm(task.g_body)
         self._t1_candidate = 0
         # The largest fuel known to be too little for the current
-        # candidate, and its finished (value, cost) once known.
+        # candidate, its finished (value, cost) once known, and the cost
+        # of the candidate committed before it.
         self._t1_short = 0
+        self._t1_last = 0
         self._t1_pending: tuple[int, int] | None = None
         self.t2_granted = 0
         self._t2 = OracleRun(task.t2_machine, (), max_history=task.t2_history_cap)
@@ -224,12 +240,14 @@ class TrioRun:
                 short = self._t1_short
                 if available <= short:
                     return None
-                # Evaluate ahead of the grant, doubling the fuel of the
-                # last failure, but never past the most T1 can ever hold.
-                # Failed fuels at least double and stay below twice what
-                # is available, so t1_evaluated stays within 4 * t1_granted.
+                # Evaluate ahead of the grant: twice the fuel of the last
+                # failure, or twice the cost of the candidate before, but
+                # never past the most T1 can ever hold nor past the slack
+                # left under 4 * t1_granted, which always exceeds both
+                # available and 2 * short (see the class docstring).
                 reach = available + quantum * (self.task.budget - self.rounds_run)
-                fuel = min(reach, max(available, 2 * short))
+                slack = 4 * self.t1_granted - self.t1_evaluated
+                fuel = min(reach, slack, max(available, 2 * short, 2 * self._t1_last))
                 value, cost = evaluate_costed(g, fixed + (self._t1_candidate,), fuel)
                 self.t1_evaluated += cost
                 if value is None:
@@ -243,6 +261,7 @@ class TrioRun:
                 return None
             self._t1_pending = None
             self._t1_short = 0
+            self._t1_last = cost
             self.t1_spent += cost
             available -= cost
             if value == 0:

@@ -294,6 +294,46 @@ def test_two_state_sweep_shares_runs_between_machines():
     assert report.max_halt_steps == 5
 
 
+def census_at(mclass, leaves, budget):
+    """The census at ``budget`` read off the leaves of a walk at a budget
+    of at least ``budget``: a run takes the same steps under any budget,
+    so a leaf halts by ``budget`` when its halt takes at most that many
+    steps, loops when its loop is detected by then, and runs out of
+    budget otherwise.  A leaf stands for every choice of the slots it
+    leaves undecided."""
+    slots = mclass.state_count * mclass.alphabet_size
+    radix = round(mclass.size ** (1 / slots))
+    assert radix**slots == mclass.size
+    counts = dict.fromkeys(("halted", "loop_detected", "budget_exceeded"), 0)
+    for decided, outcome, _ in leaves:
+        if isinstance(outcome, Halted) and outcome.steps <= budget:
+            tag = "halted"
+        elif isinstance(outcome, LoopDetected) and outcome.first_index + outcome.period <= budget:
+            tag = "loop_detected"
+        else:
+            tag = "budget_exceeded"
+        counts[tag] += radix ** (slots - len(decided))
+    return counts
+
+
+def test_one_walk_gives_the_census_at_every_smaller_budget():
+    mclass = MachineClass(2, 2)
+    leaves = list(sweep_leaves(mclass, budget=10**4))
+    for budget in (*range(1, 9), 10, 10**2, 10**3):
+        assert census_at(mclass, leaves, budget) == classify_all(mclass, budget=budget).counts, budget
+    # The census still moves up to budget 7, where it reaches its final form.
+    assert census_at(mclass, leaves, 1) == {"halted": 1053, "loop_detected": 0, "budget_exceeded": 5508}
+    assert census_at(mclass, leaves, 6) != census_at(mclass, leaves, 7)
+    assert census_at(mclass, leaves, 7) == {"halted": 1165, "loop_detected": 274, "budget_exceeded": 5122}
+
+
+def test_one_walk_gives_the_three_state_census_at_smaller_budgets():
+    mclass = MachineClass(3, 2)
+    leaves = list(sweep_leaves(mclass, budget=10))
+    for budget in (1, 3, 5):
+        assert census_at(mclass, leaves, budget) == classify_all(mclass, budget=budget).counts, budget
+
+
 class _Unreadable:
     """A column that has a length but refuses to be read."""
 

@@ -412,9 +412,10 @@ def test_lookahead_when_a_cost_exceeds_what_t1_can_be_granted():
     runner, verdict = run_against_reference(task)
     assert verdict == Exhausted(rounds=6)
     assert runner.t1_spent == 11
-    # Candidate 0 fails at 5 and 10 and finishes within 20; candidate 1
-    # fails at 4, 9 and 18, and its last try stops at the 19 units in reach.
-    assert runner.t1_evaluated == 5 + 10 + 11 + 4 + 9 + 18 + 19
+    # Candidate 0 fails at 5 and 10 and finishes within 20.  Candidate 1
+    # is offered twice the 11 that candidate 0 cost, cut to the 19 units
+    # in reach, and fails there; T1 never holds more than 19 again.
+    assert runner.t1_evaluated == 5 + 10 + 11 + 19
 
     rng = random.Random(0x5EAC)
     beyond = 0
@@ -551,20 +552,86 @@ def test_a_proven_cycle_is_tallied_up_to_its_history_cap(monkeypatch):
     assert runner.run() == Exhausted(rounds=500)
     assert runner.t2_steps == 4000
     counters = tuple(getattr(runner, name) for name in TrioRun.COUNTERS)
-    assert counters == (25000, 23966, 57940, 25000, 4000, 25000, 18)
+    # 1 - (y - y) costs 11, 19, 28, 38, ...: each candidate less than
+    # twice the one before, so every first try finishes.  Candidates 0-45
+    # are evaluated once, for the 23966 units they spend; candidate 46
+    # (1414) fails once at the 1034 units left in reach.
+    assert counters == (25000, 23966, 23966 + 1034, 25000, 4000, 25000, 18)
     assert len(slices) <= 5
 
 
-@pytest.mark.parametrize("seed", [1, 2077])
-def test_skipping_matches_the_round_by_round_run_on_the_benchmark_corpus(
-    seed, tmp_path, monkeypatch
-):
-    # Only reads the corpus generator; the corpus is written to tmp_path.
+def benchmark_corpus(seed, tmp_path, monkeypatch):
+    """The tasks of the benchmark corpus at ``seed``, by file name.  Only
+    reads the corpus generator; the corpus is written to tmp_path."""
     monkeypatch.syspath_prepend(str(BENCHMARKS))
     import corpus
 
     corpus.build(tmp_path / "corpus", seed)
     tasks = sorted((tmp_path / "corpus").glob("*.task"))
     assert len(tasks) > 20
-    for path in tasks:
-        run_against_round_by_round(load_fixture(path).task)
+    return [load_fixture(path).task for path in tasks]
+
+
+@pytest.mark.parametrize("seed", [1, 2077])
+def test_skipping_matches_the_round_by_round_run_on_the_benchmark_corpus(
+    seed, tmp_path, monkeypatch
+):
+    for task in benchmark_corpus(seed, tmp_path, monkeypatch):
+        run_against_round_by_round(task)
+
+
+def test_t1_evaluates_most_candidates_once_on_the_benchmark_corpus(tmp_path, monkeypatch):
+    """Seed 1: T1 commits candidates costing 198412 units in all and
+    evaluates 204071, the rest being 52 failed tries (5505 units) and
+    154 units of results still pending when their runs ended."""
+    tasks = benchmark_corpus(1, tmp_path, monkeypatch)
+    failed = []
+
+    def watched(g, args, fuel):
+        value, cost = evaluate_costed(g, args, fuel)
+        if value is None:
+            failed.append(cost)
+        return value, cost
+
+    monkeypatch.setattr("haltlab.trio.evaluate_costed", watched)
+    spent = evaluated = 0
+    for task in tasks:
+        runner = TrioRun(task)
+        runner.run()
+        assert runner.t1_evaluated <= 4 * runner.t1_granted, task
+        spent += runner.t1_spent
+        evaluated += runner.t1_evaluated
+    assert (len(failed), sum(failed)) == (52, 5505)
+    assert (spent, evaluated) == (198412, 198412 + 5505 + 154)
+
+
+def test_a_first_try_sized_from_the_candidate_before_stays_in_the_slack(monkeypatch):
+    """At quantum 1 candidate 0 costs 1025 and candidate 1 costs 2050.
+    Offering candidate 1 twice the cost before would evaluate 5122 units
+    once 1026 are granted; the slack under 4 * t1_granted holds it back."""
+    costs = (1025, 2050)
+
+    def stub(g, args, fuel):
+        y = args[-1]
+        return (None, fuel) if costs[y] > fuel else (1 - y, costs[y])
+
+    seen = []
+
+    class Watched(RoundByRoundTrioRun):
+        def _advance_t1(self):
+            found = super()._advance_t1()
+            seen.append((self.t1_evaluated, self.t1_granted))
+            return found
+
+    monkeypatch.setattr("haltlab.trio.evaluate_costed", stub)
+    runner = Watched(make_task(SUCC_OF_Y, right_runner(), quantum=1, budget=4000, max_cert_size=0))
+    assert runner.run() == Found(k=1, steps=1025 + 2050)
+    assert runner.rounds_run == len(seen) == 1025 + 2050
+    assert all(evaluated <= 4 * granted for evaluated, granted in seen)
+    # Candidate 0 fails at 1, 2, 4, ..., 1024, finishes within 2048 in
+    # round 1025 and commits there.  In round 1026 candidate 1 is offered
+    # the slack, 4 * 1026 - (2047 + 1025) = 1032, and fails, evaluating
+    # exactly four times the grant.  In round 2058 T1 holds 1033 > 1032
+    # and offers 2 * 1032, which finishes; it commits in round 3075.
+    assert seen[1025] == (4 * 1026, 1026)
+    assert runner.t1_evaluated == 2047 + 1025 + 1032 + 2050

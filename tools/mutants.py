@@ -81,6 +81,8 @@ _SKIP_CORPUS = "tests/test_trio.py::test_skipping_matches_the_round_by_round_run
 _SKIP_RANDOM = "tests/test_trio.py::test_skipping_matches_the_round_by_round_run_on_random_tasks"
 _CAPPED_CYCLE = "tests/test_trio.py::test_a_proven_cycle_is_tallied_up_to_its_history_cap"
 _PENDING = "tests/test_trio.py::test_lookahead_when_t2_or_t3_wins_with_a_result_pending"
+_CORPUS_WORK = "tests/test_trio.py::test_t1_evaluates_most_candidates_once_on_the_benchmark_corpus"
+_SLACK = "tests/test_trio.py::test_a_first_try_sized_from_the_candidate_before_stays_in_the_slack"
 _DSL = "src/haltlab/dsl.py"
 _EMPTY_ITEMS = "tests/test_cli.py::test_comma_lists_refuse_empty_items"
 _FIXTURE_ARGS = "tests/test_experiments.py::test_fixture_args_must_be_naturals"
@@ -372,13 +374,27 @@ MUTANTS = (
         "trio-skip-rounded-up",
         _TRIO,
         (("(bar - available) // quantum)", "-((available - bar) // quantum))"),),
-        (_CAPPED_CYCLE, _SKIP_RANDOM),
+        (_SKIP_CORPUS, _SKIP_RANDOM),
     ),
     Mutant(
         "trio-skip-t3-not-granted",
         _TRIO,
         (("            self.t3_granted += units\n", ""),),
         (_CAPPED_CYCLE, _SKIP_RANDOM),
+    ),
+    # T1's offer (TrioRun._advance_t1): seeded from the candidate before,
+    # capped by the slack under 4 * t1_granted.
+    Mutant(
+        "trio-seed-dropped",
+        _TRIO,
+        (("max(available, 2 * short, 2 * self._t1_last)", "max(available, 2 * short)"),),
+        (_CORPUS_WORK,),
+    ),
+    Mutant(
+        "trio-seed-uncapped",
+        _TRIO,
+        (("fuel = min(reach, slack, max(", "fuel = min(reach, max("),),
+        (_SLACK,),
     ),
     # Comma lists (dsl.parse_naturals).
     Mutant(
