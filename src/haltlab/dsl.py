@@ -54,7 +54,7 @@ raises anything else.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -185,36 +185,41 @@ class _Token(NamedTuple):
 _TOKEN = re.compile(r"[ \t]*(?:(?P<punct>[()=])|(?P<int>[0-9]+)|(?P<word>\w+)|(?P<other>[^ \t]))")
 
 
-def _tokenize(lines: list[tuple[int, str]], marker: int) -> list[_Token]:
+def _tokenize(lines: list[tuple[int, str]], marker: int) -> Iterator[_Token]:
     """The tokens of the lines ``_cut_lines`` cut from a text, after line
-    ``marker``.  A column counts from the start of its line, and every
-    character is one column, a tab too.  The end token sits where the
-    text's last line stops."""
-    tokens = []
+    ``marker``, one line at a time: a line is tokenized, and refused
+    for a character no token takes, when its first token is asked for.
+    A column counts from the start of its line, and every character is
+    one column, a tab too.  The end token sits where the text's last
+    line stops."""
     for number, line in lines[marker:]:
+        tokens = []
         for match in _TOKEN.finditer(line):
             kind = match.lastgroup
             token, col = match[kind], match.start(kind) + 1
             if kind == "other" or (kind == "word" and not (token[0].isalpha() or token[0] == "_")):
                 raise ParseError(f"unexpected character {token[0]!r}", number, col)
             tokens.append(_Token(kind, token, number, col))
+        yield from tokens
     number, last = lines[-1]
-    tokens.append(_Token("end", "", number, len(last) + 1))
-    return tokens
+    yield _Token("end", "", number, len(last) + 1)
 
 
 class _Cursor:
-    def __init__(self, tokens: list[_Token]) -> None:
-        self.tokens = tokens
-        self.pos = 0
+    """One token of lookahead over the token stream, so only the tokens
+    of the line being read are alive."""
+
+    def __init__(self, tokens: Iterator[_Token]) -> None:
+        self._tokens = tokens
+        self._tok = next(tokens)
 
     def peek(self) -> _Token:
-        return self.tokens[self.pos]
+        return self._tok
 
     def next(self) -> _Token:
-        tok = self.tokens[self.pos]
+        tok = self._tok
         if tok.kind != "end":
-            self.pos += 1
+            self._tok = next(self._tokens)
         return tok
 
     def expect_punct(self, text: str) -> _Token:
@@ -289,7 +294,7 @@ def _parse_constructor(cur: _Cursor, env: dict[str, RecExpr], depth: int) -> Rec
     raise ParseError(f"unknown name {word!r}", tok.line, tok.col)
 
 
-def _parse_functions(tokens: list[_Token]) -> dict[str, RecExpr]:
+def _parse_functions(tokens: Iterator[_Token]) -> dict[str, RecExpr]:
     cur = _Cursor(tokens)
     env: dict[str, RecExpr] = {}
     while cur.peek().kind != "end":
@@ -386,10 +391,10 @@ def _parse(text: str, suffix: str) -> Program:
     lines, marker = _past_marker(cut)
     if suffix == ".tm" or (suffix != ".rf" and lines and lines[0][1].startswith("states=")):
         return Program(machines={MAIN_MACHINE: _parse_machine(lines)})
-    tokens = _tokenize(cut, marker)
-    # Only the tokens stay alive while the terms are built.
-    del cut, lines
-    return Program(functions=_parse_functions(tokens))
+    # Only the cut lines, and one line's tokens, stay alive while the
+    # terms are built.
+    del lines
+    return Program(functions=_parse_functions(_tokenize(cut, marker)))
 
 
 def format_term(expr: RecExpr) -> str:

@@ -1,10 +1,26 @@
-"""Loop detection by exhaustive configuration recording.
+"""Loop detection by configuration recording, and by head records.
 
-``run_with_oracle`` simulates a machine while recording every
-configuration it passes through.  The moment the current configuration
-equals an earlier one, the run is reported as looping, with the index of
-the first occurrence and the period.  Determinism makes this sound: once
-a configuration repeats, the machine replays the same segment forever.
+``run_with_oracle`` simulates a machine and reports it as looping the
+moment the current configuration equals an earlier one, with the index
+of the first occurrence and the period.  Determinism makes this sound:
+once a configuration repeats, the machine replays the same segment
+forever.
+
+Most runs need no record of their configurations.  A head record is a
+step that takes the head to a cell it has never been on, past the
+input's ends.  If the configuration at step i recurs at step j, the
+head never again leaves the cells it visited before j, so no record
+falls at or after j.  So a record at step r, or a halt, proves that no
+configuration recurred by step r (the record lemma).  A fresh run's
+first slice therefore keeps no history.  It stops at a halt, at a
+proven translated cycle (below) or at a stall, when the steps since
+its last record exceed twice the steps before that record, plus 8: a
+loop stalls soon after it closes.  If it reaches the slice's end
+undecided, a copy steps on past the end to the next record or a halt,
+which certifies the end; the run itself stays at the end.  A stall, a
+failed certificate and any later slice of a run with no history go
+back to step 0 and record every configuration from there, so every
+outcome is the one exhaustive recording gives.
 
 The recorder is hash-indexed.  The tape carries a 64-bit Zobrist
 fingerprint maintained incrementally (one step changes at most one
@@ -26,8 +42,9 @@ at step s is reported as Halted(s) even when s equals the budget.
 Two loops step a machine here.  ``PlainRun.execute`` is the one plain
 kernel: ``run``, every branch of ``replay_verify``, the re-simulation
 that confirms a fingerprint hit, and the experiments' growth profile
-all rest on it.  ``OracleRun.advance`` is the one recording loop.  It
-stays separate because it folds each step's cell change into the
+all rest on it.  ``OracleRun._observe`` is the one oracle loop, with
+its history on or off.  It stays separate because it watches for
+records, and with a history folds each step's cell change into the
 fingerprint and probes the history as it goes; routing it through the
 kernel would cost a call per step on the path that decides every
 verdict.  ``machine.step`` remains the independent reference both
@@ -57,7 +74,7 @@ this.  The lemma holds for any two records of one state, and each new
 record is compared with the last two in its state, so a cycle whose
 period holds two records in a state with different cells behind them
 is proven by records two apart.  A period that holds three or more
-such records goes unproven and is recorded step by step.
+such records goes unproven and is stepped one step at a time.
 
 Once a cycle is proven the run stops recording and coasts.  Each whole
 period lays one more copy of the same |s| cells behind the window and
@@ -75,6 +92,7 @@ relies on the proof: it steps every claim from the start.
 from __future__ import annotations
 
 from bisect import bisect_left
+from copy import copy
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterable
@@ -108,10 +126,11 @@ class _CellTable(dict):
     """One run's fingerprint values by cell key, filled lazily from _mix.
 
     The values are pure functions of the keys, the same in every run and
-    process (no dependence on PYTHONHASHSEED).  Each OracleRun holds its
-    own table and drops it with its history once a cycle is proven, so
-    no table outlives its run.  The fingerprint covers the tape only;
-    head and state are small integers and enter the history key exactly.
+    process (no dependence on PYTHONHASHSEED).  An OracleRun makes its
+    own table when it starts recording and drops it with its history
+    once a cycle is proven, so no table outlives its run.  The
+    fingerprint covers the tape only; head and state are small integers
+    and enter the history key exactly.
     """
 
     def __missing__(self, key: int) -> int:
@@ -221,11 +240,14 @@ class OracleRun(PlainRun):
     than step ``max_history`` and reports reaching that step as a capped
     BudgetExceeded, unless the step closed a loop.  The cap is decided
     before a halt, so a run that halts on the capped step ends capped
-    too.  The cap counts every step, also after a translated cycle is
-    proven and the run stops storing fingerprints.  ``translation`` is
-    the proven cycle's witness, (first record step, period, shift), or
-    None.  Steps go through ``advance`` only: the inherited ``execute``
-    skips the fingerprint.
+    too.  The cap counts every step, also while the run keeps no
+    history: in a first slice proven by its records (see the module
+    docstring), and after a translated cycle is proven.  ``translation``
+    is the proven cycle's witness, (first record step, period, shift),
+    or None; a first slice without history calls ``_record`` at the
+    same steps as a recording one, so it is set at the same step.
+    Steps go through ``advance`` only: the inherited ``execute`` skips
+    the records.
 
     ``tape`` is the whole tape until the run first skips periods of a
     proven cycle.  From then on it holds the cells before the laid
@@ -251,31 +273,9 @@ class OracleRun(PlainRun):
             raise ValueError("history cap must be nonnegative")
         self.machine = machine
         self.input = tuple(input_symbols)
-        super().__init__(machine, self.input)
         self.max_history = max_history
         self.outcome: RunOutcome | None = None
-        z = _CellTable()
-        self._zobrist: _CellTable | None = z
-        h = 0
-        for cell, sym in self.tape.items():
-            h ^= z[cell * _CELL_FOLD + sym]
-        self._hash = h
-        # key -> first step index, or list of step indices when distinct
-        # configurations happen to share a key.  The key is the tape's
-        # fingerprint xor head * state_count + state, so configurations
-        # with equal tapes share one only when head and state agree too.
-        key = h ^ (self.head * machine.state_count + self.state)
-        self._hist: dict[int, int | list[int]] | None = {key: 0}
-        # lo and hi start at the input's ends, so records start past the
-        # input and every cell ahead of one is blank.  low (high) is the
-        # leftmost (rightmost) head position since the last right (left)
-        # record.
-        ends = [self.head, *self.tape]
-        self._lo, self._hi = min(ends), max(ends)
-        self._low = self._high = self.head
-        # per direction: state -> its last two records, newest first,
-        # each [step, cell, depth, window], see _record
-        self._records: tuple[dict[int, list], dict[int, list]] | None = ({}, {})
+        self._start()
         # first record step, period, shift, depth of a proven cycle
         self._cycle: tuple[int, int, int, int] | None = None
         # _cycle's first three once proven; public, like outcome
@@ -336,26 +336,96 @@ class OracleRun(PlainRun):
                 return index
         return None
 
+    def _start(self) -> None:
+        """Put the run at step 0, with no history and no records."""
+        PlainRun.__init__(self, self.machine, self.input)
+        # lo and hi start at the input's ends, so records start past the
+        # input and every cell ahead of one is blank.  low (high) is the
+        # leftmost (rightmost) head position since the last right (left)
+        # record.
+        ends = [self.head, *self.tape]
+        self._lo, self._hi = min(ends), max(ends)
+        self._low = self._high = self.head
+        # per direction: state -> its last two records, newest first,
+        # each [step, cell, depth, window], see _record
+        self._records: tuple[dict[int, list], dict[int, list]] | None = ({}, {})
+        # the step of the last record; 0 stands for the start
+        self._last = 0
+        # key -> first step index, or list of step indices when distinct
+        # configurations happen to share a key; None while the run keeps
+        # no history, see _record_from_start
+        self._hist: dict[int, int | list[int]] | None = None
+        self._zobrist: _CellTable | None = None
+        self._hash = 0
+
+    def _record_from_start(self) -> None:
+        """Go back to step 0 and keep a history from there on.
+
+        The key is the tape's fingerprint xor head * state_count + state,
+        so configurations with equal tapes share one only when head and
+        state agree too.
+        """
+        self._start()
+        z = self._zobrist = _CellTable()
+        for cell, sym in self.tape.items():
+            self._hash ^= z[cell * _CELL_FOLD + sym]
+        self._hist = {self._hash ^ (self.head * self.machine.state_count + self.state): 0}
+
+    def _certified(self, end: int) -> bool:
+        """Whether a run without history is decided or proven loop-free up
+        to step ``end``.
+
+        It is when it halted, or when it stands at ``end`` and a record
+        at ``end`` or past it proves that no configuration recurred by
+        ``end``.  A copy that keeps no records looks past ``end`` for the
+        next one, up to where the run would stall; the run itself stays
+        at ``end``.  The copy's steps decide only whether the run goes
+        back and records, never the outcome, so the outcome still rests
+        only on the rules the steps up to ``end`` consult.
+        """
+        if self.at_halt():
+            return True
+        if self.steps < end:
+            return False
+        if self._last == end:
+            return True
+        ahead = copy(self)
+        ahead.tape = dict(self.tape)
+        ahead._records = None
+        ahead._observe(3 * self._last + 9 - end)
+        return ahead._last > end or ahead.at_halt()
+
     def advance(self, n: int) -> RunOutcome | None:
         if self.outcome is not None:
             return self.outcome
         cap = self.max_history
         if cap is not None:
             n = min(n, cap - self.steps)
-        if self._cycle is None:
-            n -= self._observe(n)
+        end = self.steps + max(n, 0)
+        if self._cycle is None and self._hist is None:
+            if self.steps == 0:
+                self._observe(end)
+            if self._cycle is None and not self._certified(end):
+                self._record_from_start()
+        if self._cycle is None and self._hist is not None:
+            self._observe(end - self.steps)
         if self.outcome is None and self._cycle is not None:
-            self._coast(n)
+            self._coast(end - self.steps)
         if self.outcome is None and cap is not None and self.steps >= cap:
             self.outcome = BudgetExceeded(self.steps, self.snapshot(), history_capped=True)
         if self.outcome is None and self.at_halt():
             self.outcome = Halted(self.steps, self.snapshot())
         return self.outcome
 
-    def _observe(self, n: int) -> int:
-        """The recording loop: at most n steps, stopping early at a
-        halting configuration, a detected loop or a proven translated
-        cycle.  Returns the steps run."""
+    def _observe(self, n: int) -> None:
+        """The one oracle loop: at most n steps, stopping early at a
+        halting configuration or a proven translated cycle.
+
+        With a history it fingerprints every step and stops at a
+        detected loop.  Without one it stops at a stall: when the steps
+        since the last record exceed twice the steps before it, plus 8.
+        A copy that keeps no records stops at its first record.
+        """
         table = self._table
         tape = self.tape
         hist = self._hist
@@ -365,9 +435,10 @@ class OracleRun(PlainRun):
         state = self.state
         head = self.head
         h = self._hash
-        t = start = self.steps
-        lo, hi, low, high = self._lo, self._hi, self._low, self._high
-        rights, lefts = self._records
+        t = self.steps
+        lo, hi, low, high, last = self._lo, self._hi, self._low, self._high, self._last
+        rights, lefts = self._records or (None, None)
+        stall = 3 * last + 8
         for _ in range(n):
             scanned = tape.get(head, 0)
             rule = table.get(state * m + scanned)
@@ -375,48 +446,55 @@ class OracleRun(PlainRun):
                 break
             write, move, state = rule
             if write != scanned:
-                if scanned:
-                    h ^= z[head * _CELL_FOLD + scanned]
+                if hist is not None:
+                    if scanned:
+                        h ^= z[head * _CELL_FOLD + scanned]
+                    if write:
+                        h ^= z[head * _CELL_FOLD + write]
                 if write:
-                    h ^= z[head * _CELL_FOLD + write]
                     tape[head] = write
                 else:
                     del tape[head]
             head += move
             t += 1
-            key = h ^ (head * states + state)
-            prev = hist.get(key)
-            if prev is not None:
-                self.state, self.head, self.steps = state, head, t
-                first = self._confirmed_first_index(prev)
-                if first is not None:
-                    self.outcome = LoopDetected(first, t - first)
-                    break
-                if isinstance(prev, int):
-                    hist[key] = [prev, t]
+            if hist is not None:
+                key = h ^ (head * states + state)
+                prev = hist.get(key)
+                if prev is not None:
+                    self.state, self.head, self.steps = state, head, t
+                    first = self._confirmed_first_index(prev)
+                    if first is not None:
+                        self.outcome = LoopDetected(first, t - first)
+                        break
+                    if isinstance(prev, int):
+                        hist[key] = [prev, t]
+                    else:
+                        prev.append(t)
                 else:
-                    prev.append(t)
-            else:
-                hist[key] = t
+                    hist[key] = t
             if head > high:
                 high = head
                 if head > hi:
-                    hi = head
-                    if self._record(rights, t, head, state, low, 1):
+                    hi, last = head, t
+                    if rights is None or self._record(rights, t, head, state, low, 1):
                         break
                     low = head
+                    stall = 3 * t + 8
             elif head < low:
                 low = head
                 if head < lo:
-                    lo = head
-                    if self._record(lefts, t, head, state, high, -1):
+                    lo, last = head, t
+                    if lefts is None or self._record(lefts, t, head, state, high, -1):
                         break
                     high = head
+                    stall = 3 * t + 8
+            # a run with a history never stalls
+            if t > stall and hist is None:
+                break
         self.state, self.head, self._hash, self.steps = state, head, h, t
-        self._lo, self._hi, self._low, self._high = lo, hi, low, high
+        self._lo, self._hi, self._low, self._high, self._last = lo, hi, low, high, last
         if self._cycle is not None:
             self._hist = self._zobrist = self._records = None
-        return t - start
 
     def _record(self, records: dict[int, list], t: int, head: int, state: int, far: int, d: int) -> bool:
         """Note a record toward d (1 right, -1 left); True once it proves a cycle.

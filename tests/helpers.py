@@ -141,9 +141,16 @@ def machines(draw, max_states: int = 3, max_symbols: int = 3):
 
 
 def history_len(orun: OracleRun) -> int:
-    """The configurations an oracle run's history accounts for: s + 1
-    after s executed steps (the initial configuration is recorded before
-    step 0), less the repeat once a loop is detected."""
+    """The configurations an oracle run's outcome accounts for: s + 1
+    after s executed steps (the initial configuration comes before step
+    0), less the repeat once a loop is detected.
+
+    A run records them only when it must.  A first slice that a head
+    record at or past its end proves loop-free (the record lemma in the
+    ``oracle`` module docstring) keeps no history, nor does a run that
+    coasts through a proven translated cycle; the count is the same,
+    and the history cap (``--history-cap``) counts every step either
+    way."""
     return orun.steps + (not isinstance(orun.outcome, LoopDetected))
 
 

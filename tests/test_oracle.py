@@ -276,24 +276,48 @@ def test_every_oracle_verdict_survives_replay(machine):
     assert replay_verify(machine, (), outcome)
 
 
-@settings(max_examples=120, deadline=None)
-@given(machines())
-def test_oracle_agrees_with_plain_simulation(machine):
-    """The oracle refines the plain run: halts match, loops imply budget there."""
-    plain = run(machine, (), budget=200)
-    oracle = run_with_oracle(machine, (), budget=200)
+def seen_set_outcome(machine: Machine, tape: tuple[int, ...], budget: int, cap: int | None = None):
+    """The outcome exhaustive recording gives, from ``machine.step`` and
+    a seen-set: the first recurrence by step min(budget, cap), else a
+    halt before the cap, else the budget or, when the cap is no larger,
+    the capped step."""
+    desc = initial_id(machine, tape)
+    seen = {desc: 0}
+    limit = budget if cap is None else min(budget, cap)
+    for t in range(1, limit + 1):
+        nxt = step(machine, desc)
+        if nxt is None:
+            return Halted(t - 1, desc)
+        desc = nxt
+        if desc in seen:
+            return LoopDetected(seen[desc], t - seen[desc])
+        seen[desc] = t
+    if cap is not None and cap <= budget:
+        return BudgetExceeded(cap, desc, history_capped=True)
+    return Halted(limit, desc) if step(machine, desc) is None else BudgetExceeded(limit, desc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_oracle_agrees_with_plain_simulation(data):
+    """The oracle refines the plain run: halts match, loops imply budget
+    there.  The seen-set reference holds it to all three outcomes, so a
+    BudgetExceeded hides no recurrence and a loop's first_index is the
+    first."""
+    machine = data.draw(machines())
+    symbols = st.integers(0, machine.alphabet_size - 1)
+    tape = tuple(data.draw(st.lists(symbols, max_size=6)))
+    # short budgets end most often just after a loop closes, before a stall
+    budget = data.draw(st.integers(0, 30) | st.integers(0, 200))
+    cap = data.draw(st.none() | st.integers(0, 250))
+    oracle = run_with_oracle(machine, tape, budget, max_history=cap)
+    assert oracle == seen_set_outcome(machine, tape, budget, cap)
+    plain = run(machine, tape, budget)
     if isinstance(oracle, Halted):
         assert plain == oracle
     elif isinstance(oracle, LoopDetected):
         assert isinstance(plain, BudgetExceeded)
-        desc = initial_id(machine)
-        seen = [desc]
-        for _ in range(oracle.first_index + oracle.period):
-            desc = step(machine, desc)
-            assert desc is not None
-            seen.append(desc)
-        assert seen[oracle.first_index] == seen[oracle.first_index + oracle.period]
-    else:
+    elif not oracle.history_capped:
         assert plain == BudgetExceeded(steps=oracle.steps, last_id=oracle.last_id)
 
 
@@ -433,8 +457,11 @@ def test_no_fingerprint_state_outlives_a_run():
 
     before = module_dicts()
     orun = OracleRun(bouncer(), ())
-    assert orun.advance(20_000) is None
-    # 20 000 steps of the bouncer fill 141 fingerprint table entries.
+    # Its records prove the first slice loop-free, with no table at all.
+    assert orun.advance(20_000) is None and orun._zobrist is None
+    # A later slice records from step 0: 20 001 steps of the bouncer
+    # fill 141 fingerprint table entries, all of them the run's own.
+    assert orun.advance(1) is None
     assert len(orun._zobrist) == 141
     assert module_dicts() == before
 
@@ -583,10 +610,11 @@ def test_records_two_apart_prove_a_cycle_that_consecutive_ones_cannot():
 
 def test_a_bouncer_proves_no_cycle():
     # No two of its records in one state see the same cells behind
-    # them, so it is recorded step by step to the budget.
+    # them, so it is stepped one step at a time to the budget and skips
+    # no period.
     orun = OracleRun(bouncer(), ())
     assert orun.advance(20_000) is None
-    assert orun.translation is None and orun._hist is not None
+    assert orun.translation is None and orun._laid is None
     assert orun.snapshot() == run(bouncer(), (), budget=20_000).last_id
 
 
@@ -689,7 +717,8 @@ def test_the_oracle_agrees_with_the_plain_kernel_over_small_classes():
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_sliced_oracle_tracks_the_plain_kernel(data):
-    """Recording or coasting, every slice ends where the plain kernel does."""
+    """Without history, recording or coasting, every slice ends where the
+    plain kernel does, with the outcome the seen-set reference gives."""
     machine = data.draw(machines(max_states=4))
     symbols = st.integers(0, machine.alphabet_size - 1)
     tape = tuple(data.draw(st.lists(symbols, min_size=1, max_size=6)))
@@ -699,6 +728,8 @@ def test_sliced_oracle_tracks_the_plain_kernel(data):
     plain = PlainRun(machine, tape)
     for n in slices:
         outcome = orun.advance(n)
+        decided = outcome or BudgetExceeded(orun.steps, orun.snapshot())
+        assert decided == seen_set_outcome(machine, tape, orun.steps, cap)
         halted = plain.execute(orun.steps - plain.steps)
         assert (orun.state, orun.head, orun.steps) == (plain.state, plain.head, plain.steps)
         assert orun.snapshot() == plain.snapshot()
@@ -719,3 +750,58 @@ def test_sliced_oracle_tracks_the_plain_kernel(data):
             last = ref.final_id if isinstance(ref, Halted) else ref.last_id
             assert outcome == BudgetExceeded(cap, last, history_capped=True)
             break
+
+
+def walker_then_shuttle(k: int) -> Machine:
+    """Walks k cells right over blank tape, a record at every step, then
+    shuttles between cells k - 1 and k: the configuration at step k
+    recurs at step k + 2, and a run without history stalls at step
+    3k + 9, the first past 3k + 8."""
+    rules = {(s, 0): (1, RIGHT, s + 1) for s in range(k)}
+    rules[(k, 0)] = (0, LEFT, k + 1)
+    rules[(k + 1, 1)] = (1, RIGHT, k)
+    return Machine(k + 2, 2, rules)
+
+
+def test_a_loop_after_many_records_is_found_on_both_sides_of_its_stall(monkeypatch):
+    """Below its stall the first slice reaches its end, and the copy that
+    looks past it finds no record; past its stall the run stops early.
+    Either way it goes back to step 0 and records, and finds the loop."""
+    k = 30
+    machine = walker_then_shuttle(k)
+    restarts = []
+    restart = OracleRun._record_from_start
+
+    def spied(self):
+        restarts.append(self.steps)
+        restart(self)
+
+    monkeypatch.setattr(OracleRun, "_record_from_start", spied)
+    expected = {
+        k - 1: None,  # still making records: certified, no history
+        k + 1: k + 1,  # one step short of the recurrence: the certificate fails
+        k + 2: k + 2,
+        3 * k + 8: 3 * k + 8,  # the last step before the stall
+        3 * k + 10: 3 * k + 9,  # stalled a step before the end
+        10_000: 3 * k + 9,
+    }
+    for budget, restarted_at in expected.items():
+        restarts.clear()
+        outcome = run_with_oracle(machine, (), budget)
+        assert outcome == seen_set_outcome(machine, (), budget)
+        if budget >= k + 2:
+            assert outcome == LoopDetected(k, 2)
+        assert restarts == ([] if restarted_at is None else [restarted_at])
+
+
+def test_every_two_state_loop_is_found_at_every_budget():
+    """Each of the 274 machines of 2x2 that loop from blank tape gets the
+    seen-set reference's outcome at every budget up to 40: before its
+    loop closes, at the step it closes, up to its stall and past it."""
+    loopers = 0
+    for machine in enumerate_class(MachineClass(2, 2)):
+        if isinstance(seen_set_outcome(machine, (), 40), LoopDetected):
+            loopers += 1
+            for budget in range(41):
+                assert run_with_oracle(machine, (), budget) == seen_set_outcome(machine, (), budget)
+    assert loopers == 274

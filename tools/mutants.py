@@ -65,6 +65,8 @@ _CAP_FIRST = "tests/test_oracle.py::test_the_cap_is_decided_before_a_halt_on_the
 _CAP_ZERO = "tests/test_oracle.py::test_history_cap_zero_stops_before_the_first_step"
 _CLOSED_FORM = "tests/test_oracle.py::test_right_runner_coasts_to_its_closed_form"
 _CANONICAL = "tests/test_oracle.py::test_plain_snapshot_is_the_canonical_description"
+_STALL = "tests/test_oracle.py::test_a_loop_after_many_records_is_found_on_both_sides_of_its_stall"
+_EVERY_BUDGET = "tests/test_oracle.py::test_every_two_state_loop_is_found_at_every_budget"
 _RECFUN = "src/haltlab/recfun.py"
 _AT_EVERY_FUEL = "tests/test_recfun.py::test_projection_step_recursion_matches_the_reference_at_every_fuel"
 _NO_LOOP = "tests/test_recfun.py::test_a_projection_step_recursion_costs_no_loop"
@@ -256,6 +258,30 @@ MUTANTS = (
             ),
         ),
         (_CAP_FIRST, _CAP_ZERO),
+    ),
+    # A first slice without history (OracleRun._certified, _record_from_start, _observe).
+    Mutant(
+        "first-slice-end-not-certified",
+        _ORACLE,
+        (("        if self._last == end:\n            return True\n", "        return True\n"),),
+        (_STALL, _EVERY_BUDGET),
+    ),
+    Mutant(
+        "stall-records-from-where-it-stopped",
+        _ORACLE,
+        (("        self._start()\n        z = self._zobrist", "        z = self._zobrist"),),
+        (_STALL, _EVERY_BUDGET),
+    ),
+    Mutant(
+        "outermost-revisit-is-a-record",
+        _ORACLE,
+        (
+            (
+                "            if head > high:\n                high = head\n                if head > hi:\n",
+                "            if head >= high:\n                high = head\n                if head >= hi:\n",
+            ),
+        ),
+        (_STALL, _EVERY_BUDGET),
     ),
     # The plain kernel (PlainRun.execute) never stores a blank.
     Mutant(
