@@ -28,7 +28,10 @@ of that line, read as a natural (``parse_natural``) that must equal
 ``FORMAT_VERSION``.  All three refuse another value ``v``, the empty
 one included, as "unsupported format version 'v'".  Both grammars read
 the same lines: they end where ``str.splitlines`` ends them and are cut
-at ``#``.  The function grammar tokenizes the lines past the marker's.
+at ``#``.  The function grammar tokenizes the lines past the marker's,
+one line at a time and one ``findall`` per line.  A token is its text,
+its kind read off its first character; a position is a line and a token
+index, made a column only for a diagnostic.
 
 A name is inlined by reference, so a definition used twice is one
 shared subterm, not two copies.  ``arity``, the evaluators' compiler
@@ -54,10 +57,10 @@ raises anything else.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import NamedTuple
 
 from .machine import Machine, MachineError
 from .recfun import (
@@ -171,92 +174,117 @@ def _past_marker(cut: list[tuple[int, str]]) -> tuple[list[tuple[int, str]], int
 # --- tokenizing the function grammar ---------------------------------------
 
 
-class _Token(NamedTuple):
-    kind: str  # "word", "int", "punct", "end"
-    text: str
-    line: int
-    col: int
-
-
-# Blanks, then one alternative per token kind, tried in order.  ``\w``
+# Blanks, then one token, its alternatives tried in order: a punctuation
+# mark, ASCII digits, a word, or any other non-blank character.  ``\w``
 # is ``str.isalnum()`` plus ``_``, so a word starting with a character
 # that is not a letter or ``_`` (a digit such as ``²``) is refused below.
-# ``other`` takes no blank, so blanks at the end of a line match nothing.
-_TOKEN = re.compile(r"[ \t]*(?:(?P<punct>[()=])|(?P<int>[0-9]+)|(?P<word>\w+)|(?P<other>[^ \t]))")
+# A token takes no blank, so blanks at the end of a line match nothing.
+_TOKEN = re.compile(r"[ \t]*([()=]|[0-9]+|\w+|[^ \t])")
+
+# On an ASCII line, a word never starts with a digit, so only a
+# character this finds can start a refused token; a line with none skips
+# the token-by-token check.
+_ODD = re.compile(r"[^ \t()=\w]")
 
 
-def _tokenize(lines: list[tuple[int, str]], marker: int) -> Iterator[_Token]:
-    """The tokens of the lines ``_cut_lines`` cut from a text, after line
-    ``marker``, one line at a time: a line is tokenized, and refused
-    for a character no token takes, when its first token is asked for.
-    A column counts from the start of its line, and every character is
-    one column, a tab too.  The end token sits where the text's last
-    line stops."""
-    for number, line in lines[marker:]:
-        tokens = []
-        for match in _TOKEN.finditer(line):
-            kind = match.lastgroup
-            token, col = match[kind], match.start(kind) + 1
-            if kind == "other" or (kind == "word" and not (token[0].isalpha() or token[0] == "_")):
-                raise ParseError(f"unexpected character {token[0]!r}", number, col)
-            tokens.append(_Token(kind, token, number, col))
-        yield from tokens
-    number, last = lines[-1]
-    yield _Token("end", "", number, len(last) + 1)
+def _is_word(token: str) -> bool:
+    """A token of a line ``_Cursor`` accepted is a word when it starts
+    with a letter or ``_``; the end, ``""``, is not."""
+    return token[:1].isalpha() or token[:1] == "_"
+
+
+def _column(line: str, k: int) -> int:
+    """The column of the k-th token of a line, counted from 1."""
+    return next(islice(_TOKEN.finditer(line), k, None)).start(1) + 1
 
 
 class _Cursor:
-    """One token of lookahead over the token stream, so only the tokens
-    of the line being read are alive."""
+    """The function grammar's tokens: the lines ``_cut_lines`` cut from
+    a text, after line ``marker``, read one line at a time.
 
-    def __init__(self, tokens: Iterator[_Token]) -> None:
-        self._tokens = tokens
-        self._tok = next(tokens)
+    A token is its text; ``tok`` is the one at hand, and ``""`` past
+    the last.  Its position is (``row``, ``k``): the index of its line
+    in ``lines`` and its index in that line's tokens.  A line is
+    tokenized, and refused for a character no token takes, when its
+    first token is reached.  A column counts from the start of its line,
+    and every character is one column, a tab too; ``error`` works it out
+    for a diagnostic only.  The end sits where the text's last line
+    stops, at row ``len(lines)``.
+    """
 
-    def peek(self) -> _Token:
-        return self._tok
+    def __init__(self, lines: list[tuple[int, str]], marker: int) -> None:
+        self._lines = lines
+        self.row = marker - 1
+        self._next_line()
 
-    def next(self) -> _Token:
-        tok = self._tok
-        if tok.kind != "end":
-            self._tok = next(self._tokens)
+    def _next_line(self) -> None:
+        lines = self._lines
+        for row in range(self.row + 1, len(lines)):
+            number, line = lines[row]
+            tokens = _TOKEN.findall(line)
+            if tokens:
+                if not line.isascii() or _ODD.search(line):
+                    for k, token in enumerate(tokens):
+                        c = token[0]
+                        if not (c.isalpha() or c == "_" or c in "()=0123456789"):
+                            raise ParseError(f"unexpected character {c!r}", number, _column(line, k))
+                self.row, self.k, self.tok, self._tokens = row, 0, tokens[0], tokens
+                return
+        self.row, self.k, self.tok, self._tokens = len(lines), 0, "", ("",)
+
+    def next(self) -> str:
+        """The token at hand; the cursor moves past it, unless at the end."""
+        tok = self.tok
+        k = self.k + 1
+        if k < len(self._tokens):
+            self.k, self.tok = k, self._tokens[k]
+        elif tok:
+            self._next_line()
         return tok
 
-    def expect_punct(self, text: str) -> _Token:
-        tok = self.next()
-        if tok.kind != "punct" or tok.text != text:
-            raise ParseError(f"expected {text!r}", tok.line, tok.col)
-        return tok
+    def error(self, message: str, at: tuple[int, int] | None = None) -> ParseError:
+        """A diagnostic at position ``at``, or at the token at hand."""
+        row, k = (self.row, self.k) if at is None else at
+        if row == len(self._lines):
+            number, last = self._lines[-1]
+            return ParseError(message, number, len(last) + 1)
+        number, line = self._lines[row]
+        return ParseError(message, number, _column(line, k))
+
+    def expect(self, text: str) -> None:
+        at = self.row, self.k
+        if self.next() != text:
+            raise self.error(f"expected {text!r}", at)
 
     def expect_int(self, what: str) -> int:
-        tok = self.next()
-        if tok.kind != "int":
-            raise ParseError(f"expected {what}", tok.line, tok.col)
-        value = parse_natural(tok.text)
+        at = self.row, self.k
+        token = self.next()
+        # ASCII digits are the only accepted tokens that start with a digit
+        if not token.isdigit():
+            raise self.error(f"expected {what}", at)
+        value = parse_natural(token)
         if value is None:
-            raise ParseError(f"{what} has too many digits", tok.line, tok.col)
+            raise self.error(f"{what} has too many digits", at)
         return value
 
 
 def _parse_term(cur: _Cursor, env: dict[str, RecExpr], depth: int) -> RecExpr:
     """A term ``depth`` constructors deep; grouping parentheses loop, not recurse."""
     opened = 0
-    while cur.peek().kind == "punct" and cur.peek().text == "(":
+    while cur.tok == "(":
         cur.next()
         opened += 1
     term = _parse_constructor(cur, env, depth)
     for _ in range(opened):
-        cur.expect_punct(")")
+        cur.expect(")")
     return term
 
 
 def _parse_constructor(cur: _Cursor, env: dict[str, RecExpr], depth: int) -> RecExpr:
-    tok = cur.next()
+    at = cur.row, cur.k
+    word = cur.next()
     if depth > MAX_TERM_DEPTH:
-        raise ParseError(f"term nests deeper than {MAX_TERM_DEPTH}", tok.line, tok.col)
-    if tok.kind != "word":
-        raise ParseError("expected a term", tok.line, tok.col)
-    word = tok.text
+        raise cur.error(f"term nests deeper than {MAX_TERM_DEPTH}", at)
     if word == "zero":
         return Zero()
     if word == "succ":
@@ -267,19 +295,15 @@ def _parse_constructor(cur: _Cursor, env: dict[str, RecExpr], depth: int) -> Rec
         return Proj(i, n)
     if word == "compose":
         outer = _parse_term(cur, env, depth + 1)
-        cur.expect_punct("(")
+        cur.expect("(")
         inners = []
-        while not (cur.peek().kind == "punct" and cur.peek().text == ")"):
-            if cur.peek().kind == "end":
-                raise ParseError(
-                    "unterminated composition argument list",
-                    cur.peek().line,
-                    cur.peek().col,
-                )
+        while cur.tok != ")":
+            if not cur.tok:
+                raise cur.error("unterminated composition argument list")
             inners.append(_parse_term(cur, env, depth + 1))
-        cur.expect_punct(")")
+        cur.next()
         if not inners:
-            raise ParseError("compose needs at least one argument", tok.line, tok.col)
+            raise cur.error("compose needs at least one argument", at)
         return Compose(outer, tuple(inners))
     if word == "primrec":
         base = _parse_term(cur, env, depth + 1)
@@ -287,34 +311,35 @@ def _parse_constructor(cur: _Cursor, env: dict[str, RecExpr], depth: int) -> Rec
         return PrimRec(base, step)
     if word == "mu":
         return Mu(_parse_term(cur, env, depth + 1))
+    if not _is_word(word):
+        raise cur.error("expected a term", at)
     if word in _RESERVED:
-        raise ParseError(f"{word!r} cannot appear inside a term", tok.line, tok.col)
+        raise cur.error(f"{word!r} cannot appear inside a term", at)
     if word in env:
         return env[word]
-    raise ParseError(f"unknown name {word!r}", tok.line, tok.col)
+    raise cur.error(f"unknown name {word!r}", at)
 
 
-def _parse_functions(tokens: Iterator[_Token]) -> dict[str, RecExpr]:
-    cur = _Cursor(tokens)
+def _parse_functions(cur: _Cursor) -> dict[str, RecExpr]:
     env: dict[str, RecExpr] = {}
-    while cur.peek().kind != "end":
-        tok = cur.next()
-        if tok.kind != "word" or tok.text != "def":
-            raise ParseError("expected 'def'", tok.line, tok.col)
-        name_tok = cur.next()
-        if name_tok.kind != "word":
-            raise ParseError("expected a definition name", name_tok.line, name_tok.col)
-        name = name_tok.text
+    while cur.tok:
+        at = cur.row, cur.k
+        if cur.next() != "def":
+            raise cur.error("expected 'def'", at)
+        at = cur.row, cur.k
+        name = cur.next()
+        if not _is_word(name):
+            raise cur.error("expected a definition name", at)
         if name in _RESERVED:
-            raise ParseError(f"{name!r} is reserved", name_tok.line, name_tok.col)
+            raise cur.error(f"{name!r} is reserved", at)
         if name in env:
-            raise ParseError(f"duplicate definition {name!r}", name_tok.line, name_tok.col)
-        cur.expect_punct("=")
+            raise cur.error(f"duplicate definition {name!r}", at)
+        cur.expect("=")
         term = _parse_term(cur, env, 1)
         try:
             arity(term)
         except ArityError as err:
-            raise ParseError(f"in {name!r}: {err}", name_tok.line, name_tok.col) from None
+            raise cur.error(f"in {name!r}: {err}", at) from None
         env[name] = term
     return env
 
@@ -394,7 +419,7 @@ def _parse(text: str, suffix: str) -> Program:
     # Only the cut lines, and one line's tokens, stay alive while the
     # terms are built.
     del lines
-    return Program(functions=_parse_functions(_tokenize(cut, marker)))
+    return Program(functions=_parse_functions(_Cursor(cut, marker)))
 
 
 def format_term(expr: RecExpr) -> str:

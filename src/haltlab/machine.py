@@ -99,19 +99,25 @@ class InstantaneousDescription:
         return BLANK
 
 
-def initial_id(machine: Machine, input_symbols: Iterable[int] = ()) -> InstantaneousDescription:
-    """The starting configuration: input written at cells 0.., head at 0.
-
-    Blank symbols inside the input are simply not stored, which keeps the
-    tape canonical.  Out-of-range symbols are rejected.
-    """
+def input_cells(machine: Machine, input_symbols: Iterable[int]) -> dict[int, int]:
+    """The input written at cells 0.., as a dict of its non-blank cells
+    in ascending order.  Out-of-range symbols are rejected."""
     cells = {}
     for i, sym in enumerate(input_symbols):
         if not 0 <= sym < machine.alphabet_size:
             raise MachineError(f"input symbol {sym} at cell {i} out of range")
         if sym != BLANK:
             cells[i] = sym
-    return InstantaneousDescription.from_tape(machine.start_state, 0, cells)
+    return cells
+
+
+def initial_id(machine: Machine, input_symbols: Iterable[int] = ()) -> InstantaneousDescription:
+    """The starting configuration: input written at cells 0.., head at 0.
+
+    Blank symbols inside the input are simply not stored, which keeps the
+    tape canonical.  Out-of-range symbols are rejected.
+    """
+    return InstantaneousDescription.from_tape(machine.start_state, 0, input_cells(machine, input_symbols))
 
 
 def step(machine: Machine, desc: InstantaneousDescription) -> InstantaneousDescription | None:

@@ -102,7 +102,7 @@ from .machine import (
     InstantaneousDescription,
     Machine,
     RIGHT,
-    initial_id,
+    input_cells,
 )
 
 _M64 = (1 << 64) - 1
@@ -184,16 +184,15 @@ class PlainRun:
     """
 
     def __init__(self, machine: Machine, input_symbols: Iterable[int] = ()) -> None:
-        start = initial_id(machine, tuple(input_symbols))
+        self.tape = input_cells(machine, input_symbols)
         self._m = m = machine.alphabet_size
         # (state, symbol) folded to one int key; moves as head offsets
         self._table = {
             s * m + r: (w, 1 if mv == RIGHT else -1, ns)
             for (s, r), (w, mv, ns) in machine.transitions.items()
         }
-        self.state = start.state
-        self.head = start.head
-        self.tape = start.tape_dict()
+        self.state = machine.start_state
+        self.head = 0
         self.steps = 0
 
     def snapshot(self) -> InstantaneousDescription:

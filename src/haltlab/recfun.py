@@ -26,16 +26,22 @@ the main evaluator differentially.  ``evaluate`` is the one the rest of
 the package calls: it compiles the term to one closure per node and runs
 that.  A primitive recursion whose step is a bare projection, as every
 ``pred`` is, charges its y step units at once instead of looping, with
-the value and fuel of the loop.  A ``CompiledTerm`` keeps the validated,
-compiled term for a caller that evaluates one term many times, such as
-the trio's value search; ``evaluate_costed`` accepts it in place of a
-term.  The two evaluators share the semantics, the fuel convention and
-the argument check ``_check_args``, and deliberately no evaluation code.
+the value and fuel of the loop.  Two shapes compile to one closure
+instead of one per node, charged what those nodes would be: a
+composition over k projections (1 + k units) and a recursion whose step
+is ``compose f (proj n n)``, which reads only the accumulator (a loop
+``acc = f(acc)`` at 2 units per level).  A ``CompiledTerm`` keeps the
+validated, compiled term for a caller that evaluates one term many
+times, such as the trio's value search; ``evaluate_costed`` accepts it
+in place of a term.  The two evaluators share the semantics, the fuel
+convention and the argument check ``_check_args``, and deliberately no
+evaluation code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable
 
 
@@ -252,9 +258,18 @@ def oracle_evaluate(
 
 # --- main evaluator -------------------------------------------------------
 #
-# A term is compiled once into one closure per node.  The closures share
-# the fuel counter of their compilation, so a compiled term runs one
-# evaluation at a time.
+# A term is compiled once into one closure per node, or per fused shape
+# (see ``_compile``).  The closures share the fuel counter of their
+# compilation, so a compiled term runs one evaluation at a time.
+
+
+def _reads_only_the_accumulator(step: RecExpr) -> bool:
+    """Whether a validated recursion step is ``compose f (proj n n)``: f
+    of the accumulator, the last of the step's n arguments."""
+    if type(step) is not Compose or len(step.inners) != 1:
+        return False
+    (g,) = step.inners
+    return type(g) is Proj and g.i == g.n
 
 
 def _compile(
@@ -270,6 +285,14 @@ def _compile(
     and exhausts, and returns the projected argument, level or
     accumulator.  The value and the fuel are those of the loop, and as
     a projection holds no Mu, no ``on_mu`` event is skipped.
+
+    Two shapes fuse their nodes into one closure that charges what the
+    nodes would: a composition whose k inners are all projections
+    charges 1 + k units at once, or exhausts, and indexes its arguments
+    directly; a primitive recursion whose step is ``compose f (proj n
+    n)`` runs ``acc = f((acc,))`` once per level, charging the step's
+    two units before each call.  Every level still runs, so ``on_mu``
+    events come in the same order.
     """
     remaining = 0
     built: dict[int, Callable[[tuple[int, ...]], int]] = {}
@@ -313,6 +336,31 @@ def _compile(
                 return 0
 
             return zero
+        if t is Compose and all(type(g) is Proj for g in e.inners):
+            outer = build(e.outer)
+            cost = 1 + len(e.inners)
+            if len(e.inners) == 1:
+                i = e.inners[0].i - 1
+
+                def compose_proj1(xs: tuple[int, ...]) -> int:
+                    nonlocal remaining
+                    if remaining < cost:
+                        raise _OutOfFuel
+                    remaining -= cost
+                    return outer((xs[i],))
+
+                return compose_proj1
+            # with two or more indices, itemgetter returns their tuple
+            pick = itemgetter(*[g.i - 1 for g in e.inners])
+
+            def compose_proj(xs: tuple[int, ...]) -> int:
+                nonlocal remaining
+                if remaining < cost:
+                    raise _OutOfFuel
+                remaining -= cost
+                return outer(pick(xs))
+
+            return compose_proj
         if t is Compose:
             outer = build(e.outer)
             inners = tuple(build(g) for g in e.inners)
@@ -370,6 +418,24 @@ def _compile(
                 return y - 1 if i == len(front) else acc
 
             return primrec_proj
+        if t is PrimRec and _reads_only_the_accumulator(e.step):
+            base = build(e.base)
+            f = build(e.step.outer)
+
+            def primrec_acc(xs: tuple[int, ...]) -> int:
+                nonlocal remaining
+                if remaining == 0:
+                    raise _OutOfFuel
+                remaining -= 1
+                acc = base(xs[:-1])
+                for _ in range(xs[-1]):
+                    if remaining < 2:
+                        raise _OutOfFuel
+                    remaining -= 2
+                    acc = f((acc,))
+                return acc
+
+            return primrec_acc
         if t is PrimRec:
             base = build(e.base)
             step = build(e.step)

@@ -133,6 +133,28 @@ def test_diagnostics_carry_line_and_column():
         assert (err.value.line, err.value.col, err.value.reason) == (line, col, reason), text
 
 
+def test_diagnostics_at_a_token_on_an_earlier_line():
+    # A diagnostic about a token read lines before the one the parser is
+    # on still points at that token.
+    for text, line, col, reason in [
+        ("def g = compose succ\n()\n", 1, 9, "compose needs at least one argument"),
+        (
+            "def g = compose\n  succ\n  ((proj 1 1) (proj 1 1))\n",
+            1,
+            5,
+            "in 'g': term: outer arity 1 does not match 2 inner functions",
+        ),
+        # A line is refused before any of its tokens is parsed, and the
+        # line after a term's last token before that token is.
+        ("def a = zero\ndef b = nope ~\n", 2, 14, "unexpected character '~'"),
+        ("def a = nope\n~\n", 2, 1, "unexpected character '~'"),
+        ("def a = compose succ (nope)\n~\n", 1, 23, "unknown name 'nope'"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        assert (err.value.line, err.value.col, err.value.reason) == (line, col, reason), text
+
+
 def test_term_nesting_is_bounded_with_a_located_diagnostic():
     # Grouping parentheses nest without limit; only constructors count.
     assert parse_program("def g = " + "(" * 5000 + "zero" + ")" * 5000).functions == {"g": Zero()}

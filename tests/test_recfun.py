@@ -222,41 +222,116 @@ PROJECTION_STEP_BASES = {
 }
 
 
+def _agrees_with_the_reference_at_every_fuel(expr, args, limit=200):
+    """The on_mu events of ``evaluate`` at each fuel from 0 to one past
+    the cost, or to ``limit`` when no fuel up to it suffices.
+
+    At every fuel, ``evaluate``, ``evaluate_costed`` and one reused
+    ``CompiledTerm`` agree with the reference in value or exhaustion,
+    and in fuel consumed.
+    """
+    compiled = CompiledTerm(expr)
+    runs = []
+    cost = None
+    fuel = 0
+    while fuel <= (limit if cost is None else cost + 1):
+        expected = oracle_evaluate(expr, args, fuel)
+        where = (expr, args, fuel)
+        if isinstance(expected, FuelExhausted):
+            assert cost is None, where
+            want = (None, fuel)
+        else:
+            if cost is None:
+                cost = fuel
+            want = (expected, cost)
+        events = []
+        assert evaluate(expr, args, fuel, on_mu=lambda *event: events.append(event)) == expected, where
+        assert evaluate_costed(expr, args, fuel) == want, where
+        assert evaluate_costed(compiled, args, fuel) == want, where
+        runs.append(events)
+        fuel += 1
+    return runs, cost
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_projection_step_recursion_matches_the_reference_at_every_fuel(n):
     """A projection step charged at once gives the loop's value and fuel.
 
     Every projection (fixed argument, level, accumulator), counts 0, 1
-    and 7, and fuel from 0 to one past the cost: ``evaluate``,
-    ``evaluate_costed`` and one reused ``CompiledTerm`` agree with the
-    reference in value or exhaustion, and in fuel consumed.
+    and 7, and fuel from 0 to one past the cost.  A base that never
+    returns is tried up to fuel 200, past every cost of the converging
+    ones.
     """
     front = (3, 5)[:n]
     for base in PROJECTION_STEP_BASES[n]:
         for i in range(1, n + 3):
-            expr = PrimRec(base, Proj(i, n + 2))
-            compiled = CompiledTerm(expr)
             for y in (0, 1, 7):
-                args = front + (y,)
-                # A base that never returns is tried up to fuel 200, past
-                # every cost of the converging ones.
-                cost = None
-                fuel = 0
-                while fuel <= (200 if cost is None else cost + 1):
-                    expected = oracle_evaluate(expr, args, fuel)
-                    where = (base, i, y, fuel)
-                    if isinstance(expected, FuelExhausted):
-                        assert cost is None, where
-                        want = (None, fuel)
-                    else:
-                        if cost is None:
-                            cost = fuel
-                        want = (expected, cost)
-                    assert evaluate(expr, args, fuel) == expected, where
-                    assert evaluate_costed(expr, args, fuel) == want, where
-                    assert evaluate_costed(compiled, args, fuel) == want, where
-                    fuel += 1
+                _, cost = _agrees_with_the_reference_at_every_fuel(PrimRec(base, Proj(i, n + 2)), front + (y,))
                 assert (cost is None) == (base is PROJECTION_STEP_BASES[n][2]), (base, i, y)
+
+
+# Outers by arity for compositions over projections, each arity with a
+# Mu that finds its first argument.
+FUSED_OUTERS = {
+    1: (ZERO, SUCC, Mu(_FINDS_X1[1])),
+    2: (ADD, Mu(_FINDS_X1[2])),
+    3: (Mu(Compose(MONUS, (Proj(1, 4), Proj(4, 4)))),),
+}
+
+
+def test_compositions_over_projections_match_the_reference_at_every_fuel():
+    """A composition whose inners are all projections charges 1 + k at once.
+
+    One, two and three projections of three arguments, repeated indices
+    included, under each outer of their width, and the same with one
+    argument under ``pred``'s shape.  A Mu outer reports its one event
+    once the fuel reaches the cost, and none before.
+    """
+    xs = (3, 5, 2)
+    picks = {1: ((1,), (3,)), 2: ((1, 2), (3, 3), (2, 1)), 3: ((1, 2, 3), (3, 1, 3), (2, 2, 2))}
+    for k, outers in FUSED_OUTERS.items():
+        for outer in outers:
+            for pick in picks[k]:
+                expr = Compose(outer, tuple(Proj(i, 3) for i in pick))
+                runs, cost = _agrees_with_the_reference_at_every_fuel(expr, xs)
+                assert cost is not None, (outer, pick)
+                inner = tuple(xs[i - 1] for i in pick)
+                want = [(outer.body, inner, inner[0])] if type(outer) is Mu else []
+                assert runs[cost] == runs[cost + 1] == want, (outer, pick)
+                assert not any(runs[:cost]), (outer, pick)
+    for outer in FUSED_OUTERS[2]:
+        _agrees_with_the_reference_at_every_fuel(Compose(outer, (Proj(1, 1), Proj(1, 1))), (4,))
+
+
+# Steps that read only the accumulator: f of the last of the step's
+# arguments.  The last f adds one, and its Mu reports (body, (a,), 0)
+# for the accumulator a of each level.
+_NOTHING_FOUND = Compose(ZERO, (Proj(2, 2),))
+ACCUMULATOR_FS = (SUCC, PRED, Compose(ADD, (SUCC, Mu(_NOTHING_FOUND))))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_accumulator_steps_match_the_reference_at_every_fuel(n):
+    """An accumulator step is one call of f charged 2 per level.
+
+    A projection, zero and diverging Mu base, counts 0, 1 and 7, and
+    fuel from 0 to one past the cost, or to 200 when the base diverges.
+    A Mu inside f reports one event per level, in level order, and a
+    run short of fuel reports a prefix of them.
+    """
+    front = (3, 5)[:n]
+    bases = (Proj(1, n), ZERO if n == 1 else Compose(ZERO, (Proj(2, 2),)), Mu(Compose(SUCC, (Proj(n + 1, n + 1),))))
+    for base in bases:
+        for f in ACCUMULATOR_FS:
+            for y in (0, 1, 7):
+                expr = PrimRec(base, Compose(f, (Proj(n + 2, n + 2),)))
+                runs, cost = _agrees_with_the_reference_at_every_fuel(expr, front + (y,))
+                assert (cost is None) == (base is bases[2]), (base, f, y)
+                full = runs[-1]
+                assert all(events == full[: len(events)] for events in runs), (base, f, y)
+                if cost is not None and f is ACCUMULATOR_FS[2]:
+                    start = front[0] if base is bases[0] else 0
+                    assert full == [(_NOTHING_FOUND, (start + level,), 0) for level in range(y)], (base, y)
 
 
 def test_projection_step_recursion_still_reports_a_mu_in_its_base():

@@ -71,6 +71,8 @@ _RECFUN = "src/haltlab/recfun.py"
 _AT_EVERY_FUEL = "tests/test_recfun.py::test_projection_step_recursion_matches_the_reference_at_every_fuel"
 _NO_LOOP = "tests/test_recfun.py::test_a_projection_step_recursion_costs_no_loop"
 _FROZEN = "tests/test_recfun.py::test_frozen_arithmetic_values_on_both_evaluators"
+_OVER_PROJECTIONS = "tests/test_recfun.py::test_compositions_over_projections_match_the_reference_at_every_fuel"
+_ACCUMULATOR = "tests/test_recfun.py::test_accumulator_steps_match_the_reference_at_every_fuel"
 _FALSIFY_RUNS = "tests/test_experiments.py::test_falsify_demo_matches_a_run_per_rung_and_the_plain_profile"
 _FALSIFY_SMALL = "tests/test_experiments.py::test_falsify_demo_small_ladder"
 _FALSIFY_REFUSES = "tests/test_experiments.py::test_falsify_demo_refuses_a_bad_ladder_before_any_work"
@@ -91,6 +93,7 @@ _FIXTURE_ARGS = "tests/test_experiments.py::test_fixture_args_must_be_naturals"
 _MARKERS = "tests/test_experiments.py::test_every_format_reads_its_version_marker_as_a_natural"
 _SNIFFING = "tests/test_dsl.py::test_sniffing_agrees_with_the_suffix_on_every_shipped_and_generated_file"
 _LINE_AND_COLUMN = "tests/test_dsl.py::test_diagnostics_carry_line_and_column"
+_EARLIER_LINE = "tests/test_dsl.py::test_diagnostics_at_a_token_on_an_earlier_line"
 
 MUTANTS = (
     # The strided fill of a leaf's rows (classify_all).
@@ -383,6 +386,35 @@ MUTANTS = (
         (("                if y == 0:\n                    return acc\n", ""),),
         (_AT_EVERY_FUEL, _FROZEN),
     ),
+    # A composition whose inners are all projections (recfun's compose_proj1
+    # and compose_proj), and a recursion step that reads only the
+    # accumulator (primrec_acc).
+    Mutant(
+        "compose-proj-charges-k",
+        _RECFUN,
+        (("cost = 1 + len(e.inners)", "cost = len(e.inners)"),),
+        (_OVER_PROJECTIONS, _NO_LOOP),
+    ),
+    Mutant(
+        "compose-proj-index-not-shifted",
+        _RECFUN,
+        (
+            ("i = e.inners[0].i - 1", "i = e.inners[0].i"),
+            ("itemgetter(*[g.i - 1 for g in e.inners])", "itemgetter(*[g.i for g in e.inners])"),
+        ),
+        (_OVER_PROJECTIONS, _FROZEN),
+    ),
+    Mutant(
+        "accumulator-level-charges-one",
+        _RECFUN,
+        (
+            (
+                "                    if remaining < 2:\n                        raise _OutOfFuel\n                    remaining -= 2\n",
+                "                    if remaining < 1:\n                        raise _OutOfFuel\n                    remaining -= 1\n",
+            ),
+        ),
+        (_ACCUMULATOR, _NO_LOOP),
+    ),
     # Lost trio searchers and idle rounds (TrioRun.t2_steps, _grant_idle_rounds).
     Mutant(
         "trio-cap-clip-dropped",
@@ -435,12 +467,18 @@ MUTANTS = (
         (_EMPTY_ITEMS, _FIXTURE_ARGS),
     ),
     # The lines both grammars read (dsl._cut_lines), the version marker
-    # (dsl.significant_lines) and the function grammar's tokens.
+    # (dsl.significant_lines) and the function grammar's tokens (dsl._Cursor).
     Mutant(
         "rf-marker-line-not-skipped",
         _DSL,
-        (("for number, line in lines[marker:]:", "for number, line in lines:"),),
+        (("self.row = marker - 1", "self.row = -1"),),
         (_MARKERS, _SNIFFING),
+    ),
+    Mutant(
+        "cursor-column-of-the-next-token",
+        _DSL,
+        (("return ParseError(message, number, _column(line, k))", "return ParseError(message, number, _column(line, k + 1))"),),
+        (_LINE_AND_COLUMN, _EARLIER_LINE),
     ),
     Mutant(
         "rf-end-ignores-final-break",
