@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--history-cap",
         type=int,
         default=DEFAULT_HISTORY_CAP,
-        help="recorded configurations per machine; 0 means unlimited",
+        help="steps per machine the oracle may take, recorded or not; 0 means unlimited",
     )
     p_classify.add_argument(
         "--input",

@@ -158,11 +158,13 @@ class LoopDetected:
 class BudgetExceeded:
     """Neither halt nor repetition within the allotted resources.
 
-    ``history_capped`` distinguishes "step budget spent" from "recorder
-    entry cap reached"; both are honest non-answers.  ``last_id`` is the
-    configuration the run stopped in, except in a sweep's budget leaves
-    and report rows (``experiments.sweep_leaves``, ``classify_all``),
-    which keep only the step count and the cap flag and hold None there.
+    ``history_capped`` distinguishes "step budget spent" from "history
+    cap reached", a cap on the steps taken, recorded or not (the CLI's
+    ``--history-cap 0`` means no cap); both are honest non-answers.
+    ``last_id`` is the configuration the run stopped in, except in a
+    sweep's budget leaves and report rows (``experiments.sweep_leaves``,
+    ``classify_all``), which keep only the step count and the cap flag
+    and hold None there.
     """
 
     steps: int

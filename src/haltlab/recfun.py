@@ -339,19 +339,10 @@ def _compile(
         if t is Compose and all(type(g) is Proj for g in e.inners):
             outer = build(e.outer)
             cost = 1 + len(e.inners)
-            if len(e.inners) == 1:
-                i = e.inners[0].i - 1
-
-                def compose_proj1(xs: tuple[int, ...]) -> int:
-                    nonlocal remaining
-                    if remaining < cost:
-                        raise _OutOfFuel
-                    remaining -= cost
-                    return outer((xs[i],))
-
-                return compose_proj1
-            # with two or more indices, itemgetter returns their tuple
-            pick = itemgetter(*[g.i - 1 for g in e.inners])
+            idx = [g.i - 1 for g in e.inners]
+            # itemgetter returns a tuple for two or more indices; for one,
+            # a one-item slice is the tuple
+            pick = itemgetter(*idx) if len(idx) > 1 else itemgetter(slice(idx[0], idx[0] + 1))
 
             def compose_proj(xs: tuple[int, ...]) -> int:
                 nonlocal remaining
@@ -364,28 +355,6 @@ def _compile(
         if t is Compose:
             outer = build(e.outer)
             inners = tuple(build(g) for g in e.inners)
-            if len(inners) == 1:
-                (first,) = inners
-
-                def compose1(xs: tuple[int, ...]) -> int:
-                    nonlocal remaining
-                    if remaining == 0:
-                        raise _OutOfFuel
-                    remaining -= 1
-                    return outer((first(xs),))
-
-                return compose1
-            if len(inners) == 2:
-                first, second = inners
-
-                def compose2(xs: tuple[int, ...]) -> int:
-                    nonlocal remaining
-                    if remaining == 0:
-                        raise _OutOfFuel
-                    remaining -= 1
-                    return outer((first(xs), second(xs)))
-
-                return compose2
 
             def compose(xs: tuple[int, ...]) -> int:
                 nonlocal remaining

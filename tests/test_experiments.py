@@ -292,6 +292,15 @@ def test_two_state_sweep_shares_runs_between_machines():
     # S(2,2) = 6 counts the halting transition; here a halt is an absent
     # rule and executes no step, so the class's longest halt reads 5.
     assert report.max_halt_steps == 5
+    assert most_cells_at_a_halt(report) == 4  # Sigma(2,2) = 4
+
+
+def most_cells_at_a_halt(report):
+    """The most non-blank cells a halted row of ``report`` ends with,
+    read off its distinct outcome objects: taken by identity, so the
+    rows are not hashed."""
+    distinct = dict(zip(map(id, report.outcomes), report.outcomes)).values()
+    return max(len(o.final_id.tape) for o in distinct if isinstance(o, Halted))
 
 
 def census_at(mclass, leaves, budget):
@@ -402,20 +411,20 @@ class _Sha256Stream:
 
 
 @pytest.mark.parametrize(
-    "states, symbols, counts, max_halt, runs, digest",
+    "states, symbols, counts, max_halt, runs, digest, most_cells",
     [
         (
             3, 2, {"halted": 790_025, "loop_detected": 282_044, "budget_exceeded": 3_754_740},
-            20, 21_257, "0b3b323c0d6354614d33e425c815831b37705e23f9371c8e97c15b97f2f38bce",
+            20, 21_257, "0b3b323c0d6354614d33e425c815831b37705e23f9371c8e97c15b97f2f38bce", 6,
         ),
         (
             2, 3, {"halted": 645_595, "loop_detected": 136_730, "budget_exceeded": 4_044_484},
-            37, 21_787, "a1b5461688741127a54248343e78682ec68ca01fd47d47e18bad809c9682291e",
+            37, 21_787, "a1b5461688741127a54248343e78682ec68ca01fd47d47e18bad809c9682291e", 9,
         ),
     ],
 )
 def test_three_state_and_three_symbol_sweeps_are_pinned(
-    states, symbols, counts, max_halt, runs, digest
+    states, symbols, counts, max_halt, runs, digest, most_cells
 ):
     """The 3x2 and 2x3 sweeps at budget 10^3, pinned by their CSV bytes as
     the sweep wrote them with one oracle run per prefix; 3x2 is the
@@ -424,6 +433,8 @@ def test_three_state_and_three_symbol_sweeps_are_pinned(
     assert report.counts == counts
     # One less than S(3,2) = 21 and S(2,3) = 38: a halt executes no step.
     assert report.max_halt_steps == max_halt
+    # Sigma(3,2) = 6 and Sigma(2,3) = 9.
+    assert most_cells_at_a_halt(report) == most_cells
     assert report.all_audits_passed
     assert report.oracle_runs == runs
     stream = _Sha256Stream()

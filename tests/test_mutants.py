@@ -2,7 +2,9 @@
 
 Running the mutants takes a few minutes (``python tools/mutants.py``); this
 only checks that each one would apply: every snippet occurs exactly once
-in its file, and every test meant to kill it exists.
+in its file, the mutated file still compiles (the tool counts a
+collection error as a kill, so a syntax error would kill a mutant
+without testing anything), and every test meant to kill it exists.
 """
 
 import importlib.util
@@ -28,7 +30,9 @@ def test_mutant_names_are_unique():
 def test_every_registered_mutant_still_applies(mutant):
     assert mutant.edits and mutant.tests
     assert all(snippet != replacement for snippet, replacement in mutant.edits)
-    assert mutants.stale_edits(mutant) == []
+    text, stale = mutants.apply_edits(mutant)
+    assert stale == []
+    compile(text, mutant.path, "exec")
     for test in mutant.tests:
         path, _, name = test.partition("::")
         text = (ROOT / path).read_text(encoding="utf-8")

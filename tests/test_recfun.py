@@ -5,6 +5,7 @@ regression in either one trips it; the differential property then
 drives randomly generated expressions through the pair.
 """
 
+import itertools
 import random
 import re
 
@@ -270,8 +271,8 @@ def test_projection_step_recursion_matches_the_reference_at_every_fuel(n):
                 assert (cost is None) == (base is PROJECTION_STEP_BASES[n][2]), (base, i, y)
 
 
-# Outers by arity for compositions over projections, each arity with a
-# Mu that finds its first argument.
+# Outers by arity for the composition tests, each arity with a Mu that
+# finds its first argument.
 FUSED_OUTERS = {
     1: (ZERO, SUCC, Mu(_FINDS_X1[1])),
     2: (ADD, Mu(_FINDS_X1[2])),
@@ -301,6 +302,44 @@ def test_compositions_over_projections_match_the_reference_at_every_fuel():
                 assert not any(runs[:cost]), (outer, pick)
     for outer in FUSED_OUTERS[2]:
         _agrees_with_the_reference_at_every_fuel(Compose(outer, (Proj(1, 1), Proj(1, 1))), (4,))
+
+
+# Inners of two arguments for general compositions: a successor
+# composite, a projection and a Mu that finds the first argument.
+GENERAL_INNERS = (Compose(SUCC, (Compose(SUCC, (Proj(2, 2),)),)), Proj(1, 2), Mu(_FINDS_X1[2]))
+
+
+def test_general_compositions_match_the_reference_at_every_fuel():
+    """A composition with an inner that is not a projection charges its
+    unit first, then runs its inners left to right.
+
+    Every choice of one, two and three inners but those of projections
+    only, under each outer of their width.  Inner j finishes once the
+    fuel reaches 1 + the costs of inners 1..j, so at each fuel below the
+    cost the on_mu events are those of the inner Mus finished by then,
+    in inner order; at the cost a Mu outer adds its own.
+    """
+    xs = (3, 0)
+    costs = [evaluate_costed(g, xs, GENEROUS)[1] for g in GENERAL_INNERS]
+    for k, outers in FUSED_OUTERS.items():
+        for picks in itertools.product(range(len(GENERAL_INNERS)), repeat=k):
+            inners = tuple(GENERAL_INNERS[j] for j in picks)
+            if all(type(g) is Proj for g in inners):
+                continue
+            finished, spent = [], 1
+            for j in picks:
+                spent += costs[j]
+                if type(GENERAL_INNERS[j]) is Mu:
+                    finished.append((spent, (_FINDS_X1[2], xs, xs[0])))
+            values = tuple(evaluate(g, xs, GENEROUS) for g in inners)
+            for outer in outers:
+                expr = Compose(outer, inners)
+                runs, cost = _agrees_with_the_reference_at_every_fuel(expr, xs, limit=1000)
+                assert cost is not None and cost >= spent, (outer, picks)
+                last = [(outer.body, values, values[0])] if type(outer) is Mu else []
+                for fuel, events in enumerate(runs):
+                    want = [event for at, event in finished if at <= fuel]
+                    assert events == (want + last if fuel >= cost else want), (outer, picks, fuel)
 
 
 # Steps that read only the accumulator: f of the last of the step's

@@ -73,6 +73,7 @@ _NO_LOOP = "tests/test_recfun.py::test_a_projection_step_recursion_costs_no_loop
 _FROZEN = "tests/test_recfun.py::test_frozen_arithmetic_values_on_both_evaluators"
 _OVER_PROJECTIONS = "tests/test_recfun.py::test_compositions_over_projections_match_the_reference_at_every_fuel"
 _ACCUMULATOR = "tests/test_recfun.py::test_accumulator_steps_match_the_reference_at_every_fuel"
+_GENERAL = "tests/test_recfun.py::test_general_compositions_match_the_reference_at_every_fuel"
 _FALSIFY_RUNS = "tests/test_experiments.py::test_falsify_demo_matches_a_run_per_rung_and_the_plain_profile"
 _FALSIFY_SMALL = "tests/test_experiments.py::test_falsify_demo_small_ladder"
 _FALSIFY_REFUSES = "tests/test_experiments.py::test_falsify_demo_refuses_a_bad_ladder_before_any_work"
@@ -386,9 +387,8 @@ MUTANTS = (
         (("                if y == 0:\n                    return acc\n", ""),),
         (_AT_EVERY_FUEL, _FROZEN),
     ),
-    # A composition whose inners are all projections (recfun's compose_proj1
-    # and compose_proj), and a recursion step that reads only the
-    # accumulator (primrec_acc).
+    # A composition whose inners are all projections (recfun's compose_proj),
+    # and a recursion step that reads only the accumulator (primrec_acc).
     Mutant(
         "compose-proj-charges-k",
         _RECFUN,
@@ -398,10 +398,7 @@ MUTANTS = (
     Mutant(
         "compose-proj-index-not-shifted",
         _RECFUN,
-        (
-            ("i = e.inners[0].i - 1", "i = e.inners[0].i"),
-            ("itemgetter(*[g.i - 1 for g in e.inners])", "itemgetter(*[g.i for g in e.inners])"),
-        ),
+        (("idx = [g.i - 1 for g in e.inners]", "idx = [g.i for g in e.inners]"),),
         (_OVER_PROJECTIONS, _FROZEN),
     ),
     Mutant(
@@ -414,6 +411,32 @@ MUTANTS = (
             ),
         ),
         (_ACCUMULATOR, _NO_LOOP),
+    ),
+    # Any other composition (recfun's compose): one unit, then the inners
+    # left to right.
+    Mutant(
+        "compose-inners-right-to-left",
+        _RECFUN,
+        (
+            (
+                "return outer(tuple([g(xs) for g in inners]))",
+                "return outer(tuple(reversed([g(xs) for g in reversed(inners)])))",
+            ),
+        ),
+        (_GENERAL,),
+    ),
+    Mutant(
+        "compose-charges-after-inners",
+        _RECFUN,
+        (
+            (
+                "                if remaining == 0:\n                    raise _OutOfFuel\n"
+                "                remaining -= 1\n                return outer(tuple([g(xs) for g in inners]))\n",
+                "                values = tuple([g(xs) for g in inners])\n                if remaining == 0:\n"
+                "                    raise _OutOfFuel\n                remaining -= 1\n                return outer(values)\n",
+            ),
+        ),
+        (_GENERAL,),
     ),
     # Lost trio searchers and idle rounds (TrioRun.t2_steps, _grant_idle_rounds).
     Mutant(
@@ -495,34 +518,31 @@ MUTANTS = (
 )
 
 
-def stale_edits(mutant: Mutant, root: Path = ROOT) -> list[str]:
-    """The snippets of ``mutant`` that do not occur exactly once in its
-    file under ``root``, in the order the edits apply them."""
-    text = (root / mutant.path).read_text(encoding="utf-8")
+def apply_edits(mutant: Mutant) -> tuple[str, list[str]]:
+    """The text of ``mutant``'s file with its edits made, and the snippets
+    that do not occur exactly once in it (their edits are not made), in
+    the order the edits apply them."""
+    text = (ROOT / mutant.path).read_text(encoding="utf-8")
     stale = []
     for snippet, replacement in mutant.edits:
         if text.count(snippet) != 1:
             stale.append(snippet)
         else:
             text = text.replace(snippet, replacement)
-    return stale
+    return text, stale
 
 
 def run_mutant(mutant: Mutant) -> tuple[str, list[str]]:
     """(verdict, detail): ``killed`` with no detail (or the timeout),
     ``survived`` with the listed tests that passed, or ``stale`` with the
     unmatched snippets."""
-    stale = stale_edits(mutant)
+    text, stale = apply_edits(mutant)
     if stale:
         return "stale", stale
     with tempfile.TemporaryDirectory(prefix="mutant-") as scratch:
         copy = Path(scratch) / "tree"
         shutil.copytree(ROOT, copy, ignore=_SKIP)
-        target = copy / mutant.path
-        text = target.read_text(encoding="utf-8")
-        for snippet, replacement in mutant.edits:
-            text = text.replace(snippet, replacement)
-        target.write_text(text, encoding="utf-8")
+        (copy / mutant.path).write_text(text, encoding="utf-8")
         env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
         command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
         survivors = []
